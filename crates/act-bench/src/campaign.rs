@@ -156,8 +156,8 @@ pub fn executor_for(
     if let Some(addr) = spec.params.get("gateway").cloned() {
         let model = remote_model_spec(spec);
         // `pipeline_depth = N` (N > 1) sends every job through one shared
-        // v4 session with N requests in flight instead of one
-        // connection-per-job; the report stays byte-identical either way.
+        // session with N requests in flight instead of one client (and
+        // session) per job; the report stays byte-identical either way.
         let shared = shared_pipeline(spec, &addr);
         return match spec.kind.as_str() {
             "train" => Ok(Box::new(move |job: &JobDesc| {
@@ -207,7 +207,7 @@ fn remote_client(job: &JobDesc, addr: &str) -> act_client::Client {
 }
 
 /// The one pipelined client every worker shares when the spec asks for
-/// `pipeline_depth > 1`. A single client means a single v4 session, so
+/// `pipeline_depth > 1`. A single client means a single session, so
 /// concurrent jobs genuinely overlap in flight; the retry seed is fixed
 /// (retries only pick sleep jitter, never results, so sharing it keeps
 /// reports deterministic).

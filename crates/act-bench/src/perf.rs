@@ -329,9 +329,9 @@ pub fn table4_wall_s(quick: bool, jobs: usize) -> f64 {
 
 /// End-to-end gateway DIAGNOSE round-trips per second: two in-process
 /// act-serve backends behind an act-gate gateway, one pre-trained tiny
-/// `seq` model, then timed DIAGNOSE exchanges through the gateway — each
-/// op is a full connect + frame + shard + forward + cache-hit diagnose +
-/// relay. Timed one op at a time, not with [`throughput`]'s batching: one
+/// `seq` model, then timed DIAGNOSE exchanges through the gateway over one
+/// window-1 client session — each op is a frame + shard + forward over the
+/// backend's warm session + cache-hit diagnose + relay. Timed one op at a time, not with [`throughput`]'s batching: one
 /// op is a millisecond-scale network round trip, so a 5000-op batch would
 /// overshoot the target a thousandfold.
 pub fn gate_diagnose_rps(target: Duration) -> f64 {
@@ -383,12 +383,10 @@ pub fn gate_diagnose_rps(target: Duration) -> f64 {
 }
 
 /// DIAGNOSE round-trips per second against a single act-serve daemon at a
-/// given pipeline depth. Depth 1 is the classic one-shot exchange (a
-/// fresh connection per request, one request on the wire at a time);
-/// larger depths ride one multiplexed protocol-v4 session with `depth`
-/// requests in flight, so the daemon's queue never drains between ops and
-/// the per-request connect/teardown round trips disappear. The ratio of
-/// a depth-8 run over a depth-1 run is the bench's reason to exist.
+/// given pipeline depth. Every depth rides one session: depth 1 keeps one
+/// request on the wire at a time, larger depths keep `depth` in flight,
+/// so the daemon's queue never drains between ops. The ratio of a depth-8
+/// run over a depth-1 run is the bench's reason to exist.
 pub fn pipelined_diagnose_rps(target: Duration, depth: u32) -> f64 {
     use act_serve::{Reply, Request, ServeConfig, Server};
     use std::collections::VecDeque;
@@ -433,7 +431,7 @@ pub fn pipelined_diagnose_rps(target: Duration, depth: u32) -> f64 {
                 ops += 1;
             }
         } else {
-            let session = client.pipeline().expect("v4 session opens");
+            let session = client.pipeline().expect("session opens");
             let mut pending = VecDeque::new();
             while start.elapsed() < window {
                 while pending.len() < depth as usize {
@@ -458,7 +456,7 @@ pub fn pipelined_diagnose_rps(target: Duration, depth: u32) -> f64 {
 
 /// DIAGNOSE round-trips per second against a daemon with its coalescing
 /// scheduler on (micro-batches of up to `batch` same-model requests), fed
-/// by a pipelined v4 session deep enough to keep the queue stocked. The
+/// by a pipelined session deep enough to keep the queue stocked. The
 /// counterpart of [`pipelined_diagnose_rps`] — same host, same spec, same
 /// trace — so the two rows isolate exactly what coalescing buys. Before
 /// timing, one diagnosis from the batching daemon is compared
@@ -525,7 +523,7 @@ pub fn batched_diagnose_rps(target: Duration, batch: usize) -> f64 {
     // trials over one warm session; this is what lets ci.sh gate the
     // number at a 10% threshold.
     let window = target.max(Duration::from_millis(600));
-    let session = client.pipeline().expect("v4 session opens");
+    let session = client.pipeline().expect("session opens");
     let mut best = 0.0f64;
     for _ in 0..5 {
         let start = Instant::now();

@@ -62,7 +62,9 @@ fn usage() -> ExitCode {
          \x20       [--addr A] [--unix PATH] [--seed N] [--traces N]\n\
          \x20       [--seq-len N] [--hidden N] [--epochs N] [--trace FILE] [--key K]\n\
          \x20       [--connect-timeout MS] [--io-timeout MS] [--retry MS]\n\
-         \x20       [--pipeline-depth N] [--stream]  talk to a running daemon\n\
+         \x20       [--pipeline-depth N] [--stream]  talk to a running daemon over one\n\
+         \x20                                        session (--pipeline-depth: its\n\
+         \x20                                        in-flight window, default 1)\n\
          \x20 store init DIR                         create an empty corpus store\n\
          \x20 store put DIR <workload> [--runs N] [--trace FILE --key K]\n\
          \x20                                        ingest correct-run traces\n\
@@ -762,8 +764,8 @@ fn failing_trace_bytes(args: &Args, name: &str) -> Result<Vec<u8>, ExitCode> {
 }
 
 /// `act request <train|diagnose|status|shutdown|trace-put|trace-get>`:
-/// one typed call through [`act_client::Client`]. `--pipeline-depth N`
-/// (N > 1) rides a multiplexed v4 session; `--stream` sends uploads in
+/// one typed call through [`act_client::Client`], over one session whose
+/// in-flight window `--pipeline-depth N` sets; `--stream` sends uploads in
 /// chunks instead of one frame, so they are not bounded by the 64 MiB
 /// payload cap.
 fn cmd_request(args: &Args) -> ExitCode {

@@ -28,13 +28,12 @@
 //! # Ok::<(), act_client::ActError>(())
 //! ```
 //!
-//! Transport selection is automatic: with `pipeline_depth <= 1` each
-//! request is a classic one-shot connection (works against protocol v1–v3
-//! daemons); with a larger depth the client keeps one multiplexed
-//! protocol-v4 [`session::Session`] open and pipelines requests over it.
-//! The streaming methods ([`Client::trace_put_streaming`],
-//! [`Client::diagnose_streaming`]) always use a session, because chunked
-//! ingest only exists in v4.
+//! Every call rides one cached multiplexed [`session::Session`], opened
+//! lazily on the first call and reopened when it dies; `pipeline_depth`
+//! only sizes its in-flight window (depth 1 means one request on the wire
+//! at a time). The streaming methods ([`Client::trace_put_streaming`],
+//! [`Client::diagnose_streaming`]) send chunked uploads over the same
+//! session.
 //!
 //! All methods return [`ActError`], the workspace-wide error type, so
 //! callers never juggle transport-level error enums.
@@ -56,13 +55,14 @@ use std::time::Duration;
 
 use act_serve::ClientError;
 
-/// A `STATUS` answer: the human-readable counters block, plus the typed
-/// metrics snapshot when the daemon speaks protocol v2 or newer.
+/// A `STATUS` answer: the human-readable counters block plus the typed
+/// metrics snapshot.
 #[derive(Debug, Clone)]
 pub struct ServerStatus {
     /// The rendered counters block.
     pub text: String,
-    /// Full metrics snapshot (`None` from v1 daemons).
+    /// Full metrics snapshot (`None` only where a status was synthesized
+    /// without one, e.g. for a backend that answered a probe oddly).
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -98,15 +98,15 @@ impl ClientBuilder {
     }
 
     /// Retry once on transport failure or `BUSY`, sleeping a jittered
-    /// `backoff` in between (deterministic for a given `seed`).
+    /// `backoff` in between (deterministic for a given `seed`). Streamed
+    /// uploads are never retried: half a stream must not be replayed.
     pub fn retry(mut self, backoff: Duration, seed: u64) -> ClientBuilder {
         self.cfg = self.cfg.with_retry(backoff, seed);
         self
     }
 
-    /// How many requests to keep in flight at once. `0` and `1` mean
-    /// classic one-shot requests (compatible with v1–v3 daemons); larger
-    /// depths open a multiplexed v4 session. The server may grant a
+    /// The in-flight window to ask for when the session opens (`0` and
+    /// `1` both mean one request at a time). The server may grant a
     /// smaller window than asked.
     pub fn pipeline_depth(mut self, depth: u32) -> ClientBuilder {
         self.depth = depth;
@@ -121,8 +121,8 @@ impl ClientBuilder {
         self
     }
 
-    /// Build the client. No connection is made yet; sessions open lazily
-    /// on the first pipelined or streaming call.
+    /// Build the client. No connection is made yet; the session opens
+    /// lazily on the first call.
     ///
     /// # Errors
     ///
@@ -146,7 +146,7 @@ pub struct Client {
     endpoint: Endpoint,
     cfg: ClientConfig,
     depth: u32,
-    /// The lazily opened v4 session (pipelined and streaming calls only).
+    /// The lazily opened session every call rides.
     session: Mutex<Option<Arc<Session>>>,
 }
 
@@ -194,7 +194,7 @@ impl Client {
     }
 
     /// Like [`diagnose`](Client::diagnose), but streams the trace from
-    /// `reader` in chunks over a v4 session instead of materializing one
+    /// `reader` in chunks over the session instead of materializing one
     /// big frame — use for traces that are large or arriving piecewise.
     ///
     /// # Errors
@@ -261,14 +261,13 @@ impl Client {
         }
     }
 
-    /// Fetch the daemon's counters block (and metrics snapshot, v2+).
+    /// Fetch the daemon's counters block and metrics snapshot.
     ///
     /// # Errors
     ///
     /// Transport failures and server-side `ERROR`s.
     pub fn status(&self) -> Result<ServerStatus, ActError> {
         match self.roundtrip(&Request::Status)? {
-            Reply::StatusText(text) => Ok(ServerStatus { text, metrics: None }),
             Reply::StatusMetrics(text, snap) => Ok(ServerStatus { text, metrics: Some(snap) }),
             other => Err(unexpected("STATUS", &other)),
         }
@@ -286,82 +285,44 @@ impl Client {
         }
     }
 
-    /// The raw pipelined session, opening it if necessary. For callers —
-    /// the gateway, benchmarks, tests — that want to hold many
+    /// The raw session, opening it if necessary. For callers — the
+    /// gateway, benchmarks, tests — that want to hold many
     /// [`session::Pending`]s at once instead of the blocking typed
-    /// methods. Requires `pipeline_depth > 1`.
+    /// methods; how many can be in flight is the granted
+    /// [`Session::window`].
     ///
     /// # Errors
     ///
-    /// [`ActError::Config`] at depth <= 1; otherwise connect/handshake
-    /// failures.
+    /// Connect/handshake failures.
     pub fn pipeline(&self) -> Result<Arc<Session>, ActError> {
-        if self.depth <= 1 {
-            return Err(ActError::Config(ConfigError::new(
-                "pipeline_depth",
-                "must be greater than 1 to use pipeline(); one-shot clients have no session",
-            )));
-        }
-        self.live_session(self.depth).map_err(|e| self.convert(e))
+        self.live_session().map_err(|e| self.convert(e))
     }
 
-    /// Dispatch a unary request over the configured transport.
+    /// Send a unary request over the session and wait for its reply. A
+    /// transport failure or `BUSY` is retried once, after the policy's
+    /// jittered sleep, when a retry policy is configured.
     fn roundtrip(&self, req: &Request) -> Result<Reply, ActError> {
-        if self.depth <= 1 {
-            let reply = self.oneshot(req).map_err(|e| self.convert(e))?;
-            return check_reply(reply);
-        }
-        match self.over_session(self.depth, |s| s.call(req)?.wait()) {
-            Ok(reply) => check_reply(reply),
-            Err(e) => Err(self.convert(e)),
-        }
-    }
-
-    /// One classic one-shot exchange (fresh connection, one frame each
-    /// way — understood by v1+ daemons), retried exactly once on a
-    /// transport failure or `BUSY` when a retry policy is configured.
-    fn oneshot(&self, req: &Request) -> Result<Reply, ClientError> {
-        match self.oneshot_once(req) {
-            outcome @ (Err(ClientError::Io(_)) | Ok(Reply::Busy)) => match &self.cfg.retry {
-                Some(policy) => {
-                    std::thread::sleep(policy.sleep_for(0));
-                    self.oneshot_once(req)
-                }
-                None => outcome,
-            },
-            outcome => outcome,
-        }
-    }
-
-    fn oneshot_once(&self, req: &Request) -> Result<Reply, ClientError> {
-        fn exchange<S: Read + std::io::Write>(
-            mut stream: S,
-            req: &Request,
-        ) -> Result<Reply, ClientError> {
-            act_serve::proto::write_frame(&mut stream, &req.to_frame())?;
-            let frame = act_serve::proto::read_frame(&mut stream)?;
-            Ok(Reply::from_frame(&frame)?)
-        }
-        match &self.endpoint {
-            Endpoint::Tcp(addr) => {
-                let stream = act_serve::connect_tcp(addr, self.cfg.connect_timeout)?;
-                stream.set_read_timeout(self.cfg.io_timeout)?;
-                stream.set_write_timeout(self.cfg.io_timeout)?;
-                exchange(stream, req)
+        let attempt = || {
+            let session = self.live_session()?;
+            let outcome = session.call(req).and_then(session::Pending::wait);
+            if outcome.is_err() {
+                self.drop_session(&session);
             }
-            Endpoint::Unix(path) => {
-                let stream = std::os::unix::net::UnixStream::connect(path)?;
-                stream.set_read_timeout(self.cfg.io_timeout)?;
-                stream.set_write_timeout(self.cfg.io_timeout)?;
-                exchange(stream, req)
+            outcome
+        };
+        let mut outcome = attempt();
+        if let Some(policy) = &self.cfg.retry {
+            if matches!(outcome, Err(ClientError::Io(_)) | Ok(Reply::Busy)) {
+                std::thread::sleep(policy.sleep_for(0));
+                outcome = attempt();
             }
         }
+        outcome.map_err(|e| self.convert(e)).and_then(check_reply)
     }
 
-    /// Dispatch a chunked upload; always a session, whatever the depth
-    /// (a window of 1 still streams fine — chunks are not requests).
+    /// Dispatch a chunked upload over the session.
     fn stream_roundtrip(&self, start: &Request, reader: impl Read) -> Result<Reply, ActError> {
-        let session = self.live_session(self.depth.max(1)).map_err(|e| self.convert(e))?;
+        let session = self.live_session().map_err(|e| self.convert(e))?;
         // No resend on failure: half a stream must not be replayed.
         let reply = session.stream(start, reader).and_then(session::Pending::wait);
         match reply {
@@ -373,36 +334,14 @@ impl Client {
         }
     }
 
-    /// Run `f` against the live session, reopening and retrying exactly
-    /// once when the session turns out to be dead (daemon restarted, idle
-    /// disconnect). Only safe for requests that are replayable.
-    fn over_session(
-        &self,
-        depth: u32,
-        f: impl Fn(&Arc<Session>) -> Result<Reply, ClientError>,
-    ) -> Result<Reply, ClientError> {
-        let session = self.live_session(depth)?;
-        match f(&session) {
-            Ok(reply) => Ok(reply),
-            Err(ClientError::Io(_)) => {
-                self.drop_session(&session);
-                if let Some(retry) = &self.cfg.retry {
-                    std::thread::sleep(retry.backoff);
-                }
-                let fresh = self.live_session(depth)?;
-                f(&fresh)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The cached session, or a freshly opened one.
-    fn live_session(&self, depth: u32) -> Result<Arc<Session>, ClientError> {
+    /// The cached session, or a freshly opened one when there is none or
+    /// it has died (daemon restarted or drained, idle timeout).
+    fn live_session(&self) -> Result<Arc<Session>, ClientError> {
         let mut slot = self.session.lock().expect("client session lock");
-        if let Some(s) = slot.as_ref() {
+        if let Some(s) = slot.as_ref().filter(|s| !s.is_dead()) {
             return Ok(s.clone());
         }
-        let fresh = Session::open(&self.endpoint, &self.cfg, depth)?;
+        let fresh = Session::open(&self.endpoint, &self.cfg, self.depth.max(1))?;
         *slot = Some(fresh.clone());
         Ok(fresh)
     }
@@ -469,10 +408,18 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_handle_is_refused_for_one_shot_clients() {
-        let client = Client::builder().addr("127.0.0.1:1").build().unwrap();
-        let err = client.pipeline().unwrap_err();
-        assert!(matches!(err, ActError::Config(_)), "got {err:?}");
+    fn retry_attempts_a_dead_endpoint_twice() {
+        let client = Client::builder()
+            .addr("127.0.0.1:1")
+            .timeouts(Duration::from_millis(200), Duration::from_millis(200))
+            .retry(Duration::from_millis(40), 1)
+            .build()
+            .unwrap();
+        let start = std::time::Instant::now();
+        let err = client.status().expect_err("both attempts must fail");
+        assert!(matches!(err, ActError::Io { .. }), "got {err:?}");
+        // The backoff sleep (>= 20ms) proves the second attempt happened.
+        assert!(start.elapsed() >= Duration::from_millis(20), "no backoff observed");
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Multiplexed, pipelined protocol-v4 sessions: one connection, many
-//! requests in flight, replies demultiplexed by request id.
+//! Multiplexed, pipelined sessions — the protocol's only connection
+//! model: one connection, many requests in flight, replies demultiplexed
+//! by request id.
 //!
 //! A [`Session`] opens with `HELLO`, learns its in-flight window from the
 //! `HELLO_ACK`, and then hands out [`Pending`] handles: [`Session::call`]
@@ -15,90 +16,19 @@
 //! frames from concurrent requests interleave on the wire at frame
 //! granularity — the writer lock is held per frame, never per request.
 
+use act_serve::conn::{hello, Conn};
 use act_serve::proto::{read_frame, write_frame, MAX_CHUNK};
 use act_serve::{ClientConfig, ClientError, Endpoint, Reply, Request};
 use act_store::Crc32;
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::os::unix::net::UnixStream;
+use std::io::{self, Read};
+use std::net::Shutdown;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Bytes per `STREAM_CHUNK` frame the client emits (well under the
 /// protocol's cap so chunks interleave fairly with other requests).
 pub const STREAM_CHUNK_BYTES: usize = 1 << 20;
-
-/// A connected socket, TCP or Unix-domain.
-enum ClientConn {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Read for ClientConn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ClientConn::Tcp(s) => s.read(buf),
-            ClientConn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ClientConn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ClientConn::Tcp(s) => s.write(buf),
-            ClientConn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ClientConn::Tcp(s) => s.flush(),
-            ClientConn::Unix(s) => s.flush(),
-        }
-    }
-}
-
-impl ClientConn {
-    fn connect(endpoint: &Endpoint, cfg: &ClientConfig) -> io::Result<ClientConn> {
-        let conn = match endpoint {
-            Endpoint::Tcp(addr) => {
-                ClientConn::Tcp(act_serve::connect_tcp(addr, cfg.connect_timeout)?)
-            }
-            Endpoint::Unix(path) => ClientConn::Unix(UnixStream::connect(path)?),
-        };
-        conn.set_timeouts(cfg)?;
-        Ok(conn)
-    }
-
-    fn set_timeouts(&self, cfg: &ClientConfig) -> io::Result<()> {
-        match self {
-            ClientConn::Tcp(s) => {
-                s.set_read_timeout(cfg.io_timeout)?;
-                s.set_write_timeout(cfg.io_timeout)
-            }
-            ClientConn::Unix(s) => {
-                s.set_read_timeout(cfg.io_timeout)?;
-                s.set_write_timeout(cfg.io_timeout)
-            }
-        }
-    }
-
-    fn try_clone(&self) -> io::Result<ClientConn> {
-        match self {
-            ClientConn::Tcp(s) => Ok(ClientConn::Tcp(s.try_clone()?)),
-            ClientConn::Unix(s) => Ok(ClientConn::Unix(s.try_clone()?)),
-        }
-    }
-
-    fn shutdown(&self) {
-        let _ = match self {
-            ClientConn::Tcp(s) => s.shutdown(Shutdown::Both),
-            ClientConn::Unix(s) => s.shutdown(Shutdown::Both),
-        };
-    }
-}
 
 /// Everything the reader thread and the waiters share, under one lock.
 struct State {
@@ -111,13 +41,13 @@ struct State {
     dead: Option<String>,
 }
 
-/// One multiplexed v4 session. Cheap to share (`Arc`); all methods take
+/// One multiplexed session. Cheap to share (`Arc`); all methods take
 /// `&self`. Dropping the last handle shuts the socket down, which also
 /// stops the reader thread.
 pub struct Session {
     /// Frame-granular write lock; whole frames only, so concurrent
     /// requests and stream chunks never interleave mid-frame.
-    writer: Mutex<ClientConn>,
+    writer: Mutex<Conn>,
     state: Mutex<State>,
     /// Signaled when a reply lands or the session dies.
     arrived: Condvar,
@@ -145,26 +75,17 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`OpenError::Transport`] on connect/read/write failure,
-    /// [`OpenError::Unsupported`] when the server answers the `HELLO` with
-    /// anything but `HELLO_ACK` (e.g. an old pre-v4 daemon).
+    /// Connect/read/write failure, or a server that answers the `HELLO`
+    /// with anything but `HELLO_ACK`.
     pub fn open(
         endpoint: &Endpoint,
         cfg: &ClientConfig,
         depth: u32,
-    ) -> Result<Arc<Session>, OpenError> {
-        let transport = |e: ClientError| OpenError::Transport(e);
-        let mut conn = ClientConn::connect(endpoint, cfg).map_err(|e| transport(e.into()))?;
-        let hello = Request::Hello { window: depth }.to_frame().with_request(0);
-        write_frame(&mut conn, &hello).map_err(|e| transport(e.into()))?;
-        let ack = read_frame(&mut conn).map_err(|e| transport(e.into()))?;
-        let window = match Reply::from_frame(&ack).map_err(|e| transport(e.into()))? {
-            Reply::HelloAck { window } => window.max(1),
-            other => return Err(OpenError::Unsupported(other)),
-        };
-        let writer = conn.try_clone().map_err(|e| transport(e.into()))?;
+    ) -> Result<Arc<Session>, ClientError> {
+        let mut conn = Conn::connect(endpoint, cfg)?;
+        let window = hello(&mut conn, depth)?;
         let session = Arc::new(Session {
-            writer: Mutex::new(writer),
+            writer: Mutex::new(conn.try_clone()?),
             state: Mutex::new(State { replies: HashMap::new(), in_flight: 0, dead: None }),
             arrived: Condvar::new(),
             slot_free: Condvar::new(),
@@ -174,8 +95,7 @@ impl Session {
         let for_reader = session.clone();
         std::thread::Builder::new()
             .name("act-client-demux".to_string())
-            .spawn(move || reader_loop(conn, for_reader))
-            .map_err(|e| OpenError::Transport(ClientError::Io(e)))?;
+            .spawn(move || reader_loop(conn, for_reader))?;
         Ok(session)
     }
 
@@ -196,7 +116,7 @@ impl Session {
     ///
     /// Fails when the session is dead or the write fails.
     pub fn call(self: &Arc<Session>, request: &Request) -> Result<Pending, ClientError> {
-        let id = self.begin(None)?;
+        let id = self.begin()?;
         let frame = request.to_frame().with_request(id);
         if let Err(e) = {
             let mut w = self.writer.lock().expect("session writer lock");
@@ -221,7 +141,7 @@ impl Session {
         start: &Request,
         mut reader: impl Read,
     ) -> Result<Pending, ClientError> {
-        let id = self.begin(None)?;
+        let id = self.begin()?;
         let send = |frame: &act_serve::Frame| -> io::Result<()> {
             let mut w = self.writer.lock().expect("session writer lock");
             write_frame(&mut *w, frame)
@@ -254,7 +174,7 @@ impl Session {
     }
 
     /// Claim a window slot and a request id.
-    fn begin(&self, _hint: Option<u32>) -> Result<u32, ClientError> {
+    fn begin(&self) -> Result<u32, ClientError> {
         let mut st = self.state.lock().expect("session state lock");
         while st.dead.is_none() && st.in_flight >= self.window {
             st = self.slot_free.wait(st).expect("session state lock");
@@ -282,7 +202,7 @@ impl Drop for Session {
     fn drop(&mut self) {
         // Shut the socket (not just our fd) so the server sees EOF and the
         // reader thread unblocks.
-        self.writer.lock().expect("session writer lock").shutdown();
+        self.writer.lock().expect("session writer lock").shutdown(Shutdown::Both);
     }
 }
 
@@ -290,33 +210,9 @@ fn dead_error(why: &str) -> ClientError {
     ClientError::Io(io::Error::new(io::ErrorKind::BrokenPipe, format!("session dead: {why}")))
 }
 
-/// Why [`Session::open`] failed: transport trouble, or a server that
-/// answered the `HELLO` with something other than `HELLO_ACK` — i.e. one
-/// that does not speak protocol-v4 sessions. Callers that can fall back
-/// to one-shot requests (the gateway's backend pool) match on
-/// [`OpenError::Unsupported`]; everyone else converts to [`ClientError`].
-#[derive(Debug)]
-pub enum OpenError {
-    /// Connect, write, or read failed.
-    Transport(ClientError),
-    /// The server answered, but not with `HELLO_ACK`.
-    Unsupported(Reply),
-}
-
-impl From<OpenError> for ClientError {
-    fn from(e: OpenError) -> ClientError {
-        match e {
-            OpenError::Transport(inner) => inner,
-            OpenError::Unsupported(reply) => ClientError::Io(io::Error::other(format!(
-                "server does not speak v4 sessions (HELLO answered with {reply:?})"
-            ))),
-        }
-    }
-}
-
 /// Drain replies off the socket, waking the matching waiters; on any
 /// read/decode failure, fail every outstanding and future request.
-fn reader_loop(mut conn: ClientConn, session: Arc<Session>) {
+fn reader_loop(mut conn: Conn, session: Arc<Session>) {
     loop {
         let outcome =
             read_frame(&mut conn).and_then(|f| Ok((f.request_id, Reply::from_frame(&f)?)));

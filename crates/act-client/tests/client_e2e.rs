@@ -1,18 +1,18 @@
 //! End-to-end client tests: boot an in-process `act-serve` daemon on an
 //! ephemeral loopback port and drive it through the [`act_client::Client`]
-//! façade at every transport depth.
+//! façade at several pipeline depths.
 //!
-//! Covers the client/protocol-v4 acceptance criteria:
-//! - typed methods produce identical results at pipeline depth 1 (one-shot
-//!   v1–v3 framing) and depth 8 (multiplexed v4 session);
+//! Covers the client/session acceptance criteria:
+//! - typed methods produce identical results at pipeline depth 1 and 8;
 //! - streamed uploads (`TRACE_PUT_START`/`DIAGNOSE_START` + chunks) answer
 //!   with byte-identical summaries to their one-frame twins;
 //! - replies demultiplex out of order across a pipelined session;
 //! - a connection killed mid-stream leaves no partial corpus segment;
 //! - the in-flight window is negotiated down to the server's cap;
-//! - any interleaving of pipelined v4 requests yields the same replies as
-//!   the same requests issued sequentially over one-shot v3 (proptest);
-//! - raw v1–v3 one-shot clients keep working bit-for-bit.
+//! - any interleaving of pipelined requests yields the same replies as
+//!   the same requests issued one at a time over a window-1 session
+//!   (proptest);
+//! - a connection that never says anything stalls no other client.
 
 use act_client::{Client, ModelSpec, Reply, Request};
 use act_serve::proto::{read_frame, write_frame, FrameKind};
@@ -26,7 +26,7 @@ use proptest::prelude::*;
 use std::io::Write as _;
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Boot a daemon on 127.0.0.1:0 and return it with its client endpoint.
 fn boot(cfg: ServeConfig) -> (Server, Endpoint) {
@@ -120,13 +120,9 @@ fn typed_methods_agree_between_depth_one_and_depth_eight() {
         assert_eq!(back, correct, "depth {depth}: trace round trip must be lossless");
         let status = client.status().expect("status");
         assert!(status.text.contains("requests_served"), "depth {depth}: {}", status.text);
-        let snap = status.metrics.expect("v2+ metrics snapshot");
-        if depth > 1 {
-            assert!(snap.counter("req_hello").unwrap_or(0) >= 1, "session handshake counted");
-            assert!(
-                snap.counter("sessions_open").is_some() || snap.gauge("sessions_open").is_some()
-            );
-        }
+        let snap = status.metrics.expect("metrics snapshot");
+        assert!(snap.counter("req_hello").unwrap_or(0) >= 1, "session handshake counted");
+        assert!(snap.gauge("sessions_open").unwrap_or(0) >= 1, "this client's session is open");
         reports.push(report);
     }
     assert_eq!(reports[0], reports[1], "reports must be byte-identical at any pipeline depth");
@@ -225,7 +221,7 @@ fn mid_stream_kill_leaves_no_partial_corpus_segment() {
     };
     let correct = trace_bytes(0, false);
 
-    // Open a raw v4 session, start a chunked TRACE_PUT, feed half the
+    // Open a raw session, start a chunked TRACE_PUT, feed half the
     // trace, then kill the socket without STREAM_END.
     let mut stream = TcpStream::connect(&addr).expect("connect");
     write_frame(&mut stream, &Request::Hello { window: 2 }.to_frame().with_request(0))
@@ -258,42 +254,24 @@ fn mid_stream_kill_leaves_no_partial_corpus_segment() {
 }
 
 #[test]
-fn raw_v1_to_v3_one_shot_clients_still_work() {
-    let (server, endpoint) = boot(small(1, 8));
+fn a_silent_connection_does_not_stall_status() {
+    let cfg = ServeConfig { io_timeout: Duration::from_secs(4), ..small(1, 8) };
+    let (server, endpoint) = boot(cfg);
     let addr = match &endpoint {
         Endpoint::Tcp(addr) => addr.clone(),
         other => panic!("tcp endpoint expected, got {other}"),
     };
+    // Connected, and never sends a byte; accepted before the client's
+    // connection (accept is FIFO).
+    let _silent = TcpStream::connect(&addr).expect("connect");
 
-    for version in 1u8..=3 {
-        // STATUS: v1 gets the plain text frame, v2/v3 the metrics frame —
-        // exactly as before the v4 redesign, stamped with the asked version.
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        write_frame(&mut stream, &Request::Status.to_frame().with_version(version))
-            .expect("send status");
-        stream.flush().expect("flush");
-        let frame = read_frame(&mut stream).expect("status reply");
-        assert_eq!(frame.version, version, "reply restamped for the v{version} requester");
-        let expected = if version == 1 { FrameKind::StatusText } else { FrameKind::StatusMetrics };
-        assert_eq!(frame.kind, expected, "v{version} status frame kind");
-        assert_eq!(frame.request_id, 0, "pre-v4 frames carry no request id");
+    let client = client_at(&endpoint, 1);
+    let t0 = Instant::now();
+    let status = client.status().expect("status");
+    assert!(t0.elapsed() < Duration::from_secs(1), "STATUS took {:?}", t0.elapsed());
+    assert!(status.text.contains("requests_served"), "{}", status.text);
 
-        // A worker-path request round-trips too.
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        let mut spec = ModelSpec::new("__sleep");
-        spec.seed = 1;
-        write_frame(&mut stream, &Request::Train(spec).to_frame().with_version(version))
-            .expect("send train");
-        stream.flush().expect("flush");
-        let frame = read_frame(&mut stream).expect("train reply");
-        assert_eq!(frame.version, version);
-        match Reply::from_frame(&frame).expect("decode") {
-            Reply::Trained(s) => assert_eq!(s, "slept 1ms"),
-            other => panic!("unexpected v{version} reply: {other:?}"),
-        }
-    }
-
-    client_at(&endpoint, 1).shutdown().expect("shutdown");
+    client.shutdown().expect("shutdown");
     server.join();
 }
 
@@ -361,22 +339,20 @@ proptest! {
     ) {
         let vocab = equivalence_fixture();
 
-        // Sequential baseline: the same requests one at a time over raw
-        // one-shot v3 connections.
+        // Sequential baseline: the same requests one at a time over a
+        // window-1 session.
+        let sequential = act_client::session::Session::open(
+            &vocab.endpoint,
+            &act_client::ClientConfig::default(),
+            1,
+        ).expect("session opens");
         let mut expected = Vec::new();
         for (op, _) in &plan {
-            let req = vocab.request(*op);
-            let addr = match &vocab.endpoint {
-                Endpoint::Tcp(addr) => addr.clone(),
-                other => panic!("tcp endpoint expected, got {other}"),
-            };
-            let mut stream = TcpStream::connect(&addr).expect("connect");
-            write_frame(&mut stream, &req.to_frame().with_version(3)).expect("send v3");
-            let frame = read_frame(&mut stream).expect("v3 reply");
-            expected.push(fingerprint(&Reply::from_frame(&frame).expect("decode")));
+            let reply = sequential.call(&vocab.request(*op)).and_then(|p| p.wait());
+            expected.push(fingerprint(&reply.expect("sequential reply")));
         }
 
-        // Pipelined run: same requests over one v4 session, issue/wait
+        // Pipelined run: same requests over one session, issue/wait
         // order driven by the generated plan, replies collected per id.
         let session = act_client::session::Session::open(
             &vocab.endpoint,

@@ -1,49 +1,42 @@
-//! The gateway daemon: accept client frames, shard them across the
-//! backend fleet, fail over, and answer aggregated `STATUS`.
+//! The gateway daemon: accept client sessions, shard their requests
+//! across the backend fleet, fail over, and answer aggregated `STATUS`.
 //!
-//! Life of a one-shot request: an acceptor thread reads one frame,
-//! answers `STATUS`/`SHUTDOWN` inline (STATUS is the aggregated fleet
-//! view), and queues everything routable — the frame, its decoded
-//! request, and its shard key — on a bounded queue, answering `BUSY` when
-//! full (the same refused-not-dropped backpressure contract as
-//! act-serve). Forwarding workers drain the queue: the consistent-hash
-//! ring orders the backends for the key, dead backends are skipped, and
-//! the request gets the owner plus at most one failover attempt on the
-//! next ring owner when the owner is down or answers `BUSY`.
-//!
-//! A v4 client that opens with `HELLO` instead gets a multiplexed session
-//! (see [`crate::session`]): its requests enter the same queue, each with
-//! a per-request reply target, so pipelined requests from one connection
+//! Life of a request: the acceptor blocks in `accept` and hands every
+//! connection to its own session thread (see [`crate::session`]), which
+//! waits for the `HELLO`, answers `STATUS`/`SHUTDOWN` inline (STATUS is
+//! the aggregated fleet view), and queues everything routable — the
+//! decoded request, its shard key, and where the reply goes — on a bounded
+//! queue, answering `BUSY` when full (the same refused-not-dropped
+//! backpressure contract as act-serve). Forwarding workers drain the
+//! queue: the consistent-hash ring orders the backends for the key, dead
+//! backends are skipped, and the request gets the owner plus at most one
+//! failover attempt on the next ring owner when the owner is down or
+//! answers `BUSY`. Pipelined requests from one client session therefore
 //! route, fail over, and complete independently.
 //!
-//! Backend links are pooled v4 sessions ([`crate::pool`]) shared by all
-//! workers; backends that do not speak v4 sessions fall back to classic
-//! one-shot exchanges with the frame relayed verbatim. Version
-//! negotiation holds either way: the reply reaches the client stamped
-//! `min(client version, reply version)` — a v1 client talking through the
-//! gateway sees exactly the frames a v1 act-serve would have sent it.
+//! Backend links are the pool's warm sessions ([`crate::pool`]), one per
+//! backend, shared by all workers.
 
 use crate::health::Health;
-use crate::pool::{BackendLink, SessionPool};
+use crate::pool::SessionPool;
 use crate::ring::HashRing;
 use crate::session::{run_gate_session, GateSessionShared};
+use act_client::session::Session;
 use act_client::{ActError, Client, ServerStatus};
 use act_fleet::{BoundedQueue, ModelKey};
 use act_obs::{
     events, latency_bounds_us, Counter, Gauge, Histogram, Level, MetricsSnapshot, Registry,
 };
-use act_serve::proto::{read_frame, write_frame, Frame, FrameKind, SESSION_VERSION, VERSION};
-use act_serve::{ClientError, Reply, Request};
+use act_serve::conn::spawn_acceptor;
+use act_serve::{ClientError, Conn, Drain, Reply, Request};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the acceptor and prober sleep between polls of an idle
-/// listener / probe schedule.
-const POLL: Duration = Duration::from_millis(5);
+/// How often the prober checks whether a backend's probe is due.
+const PROBE_TICK: Duration = Duration::from_millis(5);
 
 /// Gateway configuration.
 #[derive(Debug, Clone)]
@@ -58,16 +51,10 @@ pub struct GateConfig {
     pub workers: usize,
     /// Bounded queue depth; a full queue answers `BUSY`.
     pub queue_depth: usize,
-    /// Warm multiplexed v4 sessions kept per backend (default 1; every
-    /// worker shares them, so one is usually plenty). `0` disables
-    /// session mode and forces classic one-shot exchanges — the old
-    /// pre-v4 behavior, kept as an escape hatch. Backends that answer
-    /// the session `HELLO` with anything but an ack get one-shot
-    /// exchanges automatically, whatever this says.
-    pub pool_capacity: usize,
     /// Backend TCP connect timeout.
     pub connect_timeout: Duration,
-    /// Client-facing socket read/write timeout.
+    /// How long a client may take to send its `HELLO`, and a started
+    /// frame to arrive whole; also the client-facing write timeout.
     pub io_timeout: Duration,
     /// Backend read/write timeout for forwarded requests (generous: a
     /// cold TRAIN runs the whole offline pipeline).
@@ -86,7 +73,6 @@ impl Default for GateConfig {
             vnodes: 64,
             workers: 4,
             queue_depth: 64,
-            pool_capacity: 1,
             connect_timeout: Duration::from_secs(2),
             io_timeout: Duration::from_secs(30),
             backend_timeout: Duration::from_secs(300),
@@ -188,7 +174,7 @@ impl GateStats {
         self.probes_ok.get() + self.probes_failed.get()
     }
 
-    /// Client v4 sessions currently open.
+    /// Client sessions currently open.
     pub fn sessions_open(&self) -> i64 {
         self.sessions_open.get()
     }
@@ -224,43 +210,13 @@ impl GateStats {
     }
 }
 
-/// Where a forwarded request's reply goes: back down a one-shot
-/// connection, or onto a multiplexed client session under its request id.
-pub(crate) enum GateTarget {
-    /// Classic connection: one frame in, one frame out, closed after.
-    OneShot {
-        conn: TcpStream,
-        /// Protocol version the client's frame arrived with.
-        version: u8,
-        /// Request id the client stamped (0 below v4).
-        request_id: u32,
-    },
-    /// A request from a client v4 session; the reply releases its slot.
-    Session { shared: Arc<GateSessionShared>, request_id: u32 },
-}
-
-impl GateTarget {
-    /// Deliver the reply frame, version-negotiated for the client.
-    pub(crate) fn respond(self, frame: Frame) {
-        match self {
-            GateTarget::OneShot { mut conn, version, request_id } => {
-                let version = version.min(frame.version);
-                let _ =
-                    write_frame(&mut conn, &frame.with_request(request_id).with_version(version));
-            }
-            GateTarget::Session { shared, request_id } => {
-                shared.send_final_frame(request_id, frame);
-            }
-        }
-    }
-}
-
 /// One accepted, routable request waiting for a forwarding worker.
 pub(crate) struct GateJob {
-    pub(crate) target: GateTarget,
-    /// The client's frame, for verbatim relay to one-shot backends.
-    pub(crate) frame: Frame,
-    /// The decoded request, for typed forwarding over backend sessions.
+    /// The client session the request arrived on; the reply releases its
+    /// window slot.
+    pub(crate) shared: Arc<GateSessionShared>,
+    /// The client's request id, echoed on the reply.
+    pub(crate) request_id: u32,
     pub(crate) request: Request,
     /// Shard key (ModelKey canonical form, or `trace:<key>`).
     pub(crate) key: String,
@@ -275,6 +231,9 @@ pub(crate) struct GateState {
     pub(crate) stats: GateStats,
     started: Instant,
     pub(crate) queue: BoundedQueue<GateJob>,
+    pub(crate) drain: Arc<Drain>,
+    /// Client-facing I/O timeout (see [`GateConfig::io_timeout`]).
+    pub(crate) io_timeout: Duration,
     /// One act-client per backend, probe-timeout-configured, for health
     /// probes and STATUS aggregation.
     probe_clients: Vec<Client>,
@@ -298,8 +257,8 @@ impl GateState {
                 None
             }
             Err(_) => {
-                // It answered, just not with STATUS (a stub, something
-                // very old). Alive is alive; there's no fleet data in it.
+                // It answered, just not with STATUS (BUSY, or a stub).
+                // Alive is alive; there's no fleet data in it.
                 self.stats.probes_ok.inc();
                 self.note_backend_up(i);
                 self.pool.refill(i);
@@ -330,36 +289,26 @@ impl GateState {
         }
     }
 
-    /// One request/reply exchange with backend `i`: over a pooled session
-    /// when the backend speaks v4 (a dead pooled session gets one
-    /// fresh-session retry before the failure counts against the
-    /// backend), verbatim one-shot otherwise.
-    fn attempt(&self, i: usize, frame: &Frame, request: &Request) -> Result<Frame, ClientError> {
-        match self.pool.link(i)? {
-            BackendLink::Session(session) => match session.call(request).and_then(|p| p.wait()) {
-                Ok(reply) => Ok(reply.to_frame()),
-                Err(ClientError::Io(_)) => {
-                    self.pool.discard(i, &session);
-                    match self.pool.link(i)? {
-                        BackendLink::Session(fresh) => {
-                            let reply = fresh.call(request).and_then(|p| p.wait())?;
-                            Ok(reply.to_frame())
-                        }
-                        BackendLink::OneShot => self.one_shot_attempt(i, frame),
-                    }
-                }
-                Err(e) => Err(e),
-            },
-            BackendLink::OneShot => self.one_shot_attempt(i, frame),
+    /// One request/reply exchange with backend `i` over its pooled
+    /// session. A dead pooled session gets one fresh-session retry before
+    /// the failure counts against the backend.
+    fn attempt(&self, i: usize, request: &Request) -> Result<Reply, ClientError> {
+        let call = |session: &Arc<Session>| session.call(request).and_then(|p| p.wait());
+        let session = self.pool.link(i)?;
+        match call(&session) {
+            Err(ClientError::Io(_)) => {
+                self.pool.discard(i, &session);
+                call(&self.pool.link(i)?)
+            }
+            outcome => outcome,
         }
     }
 
-    /// The classic exchange: fresh connection, client's frame relayed
-    /// verbatim (modulo version clamp), one reply frame back.
-    fn one_shot_attempt(&self, i: usize, frame: &Frame) -> Result<Frame, ClientError> {
-        let fwd = frame.clone().with_version(frame.version.min(VERSION));
-        let mut conn = self.pool.connect(i)?;
-        exchange(&mut conn, &fwd)
+    /// Close the queue, then start the drain — both before any `BYE` goes
+    /// out, so a client that sees `BYE` sees a gateway already draining.
+    pub(crate) fn begin_drain(&self) {
+        self.queue.close();
+        self.drain.start();
     }
 
     /// Route, forward with single-retry failover, and deliver the reply.
@@ -392,8 +341,8 @@ impl GateState {
                     format!("key {} failing over to backend {b}", job.key),
                 );
             }
-            match self.attempt(b, &job.frame, &job.request) {
-                Ok(reply) if reply.kind == FrameKind::Busy => {
+            match self.attempt(b, &job.request) {
+                Ok(Reply::Busy) => {
                     self.note_backend_up(b); // it answered; busy is healthy
                     last_busy = true;
                     continue;
@@ -414,16 +363,15 @@ impl GateState {
             }
         }
         let reply = match outcome {
-            Some(frame) => frame,
-            None if last_busy => Reply::Busy.to_frame(),
+            Some(reply) => reply,
+            None if last_busy => Reply::Busy,
             None => {
                 // Both candidates exhausted.
                 self.stats.failed.inc();
                 Reply::Error(format!("no backend could serve key {}: {last_err}", job.key))
-                    .to_frame()
             }
         };
-        job.target.respond(reply);
+        job.shared.send_final(job.request_id, &reply);
     }
 
     /// The aggregated `STATUS`: the gateway's own block, a fleet rollup
@@ -476,13 +424,8 @@ impl GateState {
     }
 }
 
-fn exchange(conn: &mut TcpStream, frame: &Frame) -> Result<Frame, ClientError> {
-    write_frame(&mut *conn, frame).map_err(ClientError::Io)?;
-    Ok(read_frame(&mut *conn)?)
-}
-
 /// The shard key of a routable request. `STATUS`/`SHUTDOWN` have none
-/// (the acceptor answers them itself), and neither do the session-control
+/// (the session answers them itself), and neither do the session-control
 /// and stream-continuation kinds (they never enter the forwarding queue).
 pub(crate) fn route_key(request: &Request) -> Option<String> {
     match request {
@@ -507,7 +450,6 @@ pub(crate) fn route_key(request: &Request) -> Option<String> {
 /// not stop it; call [`Gateway::shutdown`] then [`Gateway::join`].
 pub struct Gateway {
     state: Arc<GateState>,
-    shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     tcp_addr: SocketAddr,
 }
@@ -535,6 +477,8 @@ impl Gateway {
         }
 
         let n = cfg.backends.len();
+        let listener = TcpListener::bind(&cfg.listen)?;
+        let tcp_addr = listener.local_addr()?;
         let probe_clients = cfg
             .backends
             .iter()
@@ -549,42 +493,24 @@ impl Gateway {
         let state = Arc::new(GateState {
             ring: HashRing::new(n, cfg.vnodes),
             health: Health::new(n, 0x6761_7465), // "gate"
-            pool: SessionPool::new(
-                cfg.backends.clone(),
-                cfg.pool_capacity,
-                cfg.connect_timeout,
-                cfg.backend_timeout,
-            ),
+            pool: SessionPool::new(cfg.backends.clone(), cfg.connect_timeout, cfg.backend_timeout),
             stats: GateStats::new(n),
             started: Instant::now(),
             queue: BoundedQueue::new(cfg.queue_depth),
+            drain: Drain::new(Some(tcp_addr), None),
+            io_timeout: cfg.io_timeout,
             probe_clients,
         });
-        let shutdown = Arc::new(AtomicBool::new(false));
         let mut threads = Vec::new();
 
-        let listener = TcpListener::bind(&cfg.listen)?;
-        listener.set_nonblocking(true)?;
-        let tcp_addr = listener.local_addr()?;
-
-        {
-            let state = state.clone();
-            let shutdown = shutdown.clone();
-            let io_timeout = cfg.io_timeout;
-            threads.push(std::thread::Builder::new().name("act-gate-accept".into()).spawn(
-                move || {
-                    while !shutdown.load(Ordering::SeqCst) {
-                        match listener.accept() {
-                            Ok((conn, _)) => handle_connection(conn, &state, &shutdown, io_timeout),
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(POLL)
-                            }
-                            Err(_) => std::thread::sleep(POLL),
-                        }
-                    }
-                },
-            )?);
-        }
+        let session_state = state.clone();
+        threads.push(spawn_acceptor(
+            "act-gate-accept",
+            "gate.session",
+            move || listener.accept().map(|(s, _)| Conn::Tcp(s)),
+            state.drain.clone(),
+            move |conn| run_gate_session(conn, &session_state),
+        )?);
         for i in 0..cfg.workers {
             let state = state.clone();
             threads.push(std::thread::Builder::new().name(format!("act-gate-worker-{i}")).spawn(
@@ -597,7 +523,6 @@ impl Gateway {
         }
         {
             let state = state.clone();
-            let shutdown = shutdown.clone();
             let interval = cfg.probe_interval;
             threads.push(std::thread::Builder::new().name("act-gate-probe".into()).spawn(
                 move || {
@@ -606,7 +531,7 @@ impl Gateway {
                     for i in 0..n {
                         state.probe(i); // initial sweep warms pools + marks
                     }
-                    while !shutdown.load(Ordering::SeqCst) {
+                    while !state.drain.is_draining() {
                         for i in 0..n {
                             let due = if state.health.is_up(i) {
                                 last[i].elapsed() >= interval
@@ -618,7 +543,7 @@ impl Gateway {
                                 state.probe(i);
                             }
                         }
-                        std::thread::sleep(POLL);
+                        std::thread::sleep(PROBE_TICK);
                     }
                 },
             )?);
@@ -632,7 +557,7 @@ impl Gateway {
                 n, cfg.vnodes, cfg.workers, cfg.queue_depth
             ),
         );
-        Ok(Gateway { state, shutdown, threads, tcp_addr })
+        Ok(Gateway { state, threads, tcp_addr })
     }
 
     /// The bound listen address (with the real port when `:0` was asked).
@@ -664,125 +589,18 @@ impl Gateway {
     /// forwards. Idempotent; also triggered by a `SHUTDOWN` frame. The
     /// backends are *not* shut down — they outlive their gateway.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.state.queue.close();
+        self.state.begin_drain();
     }
 
     /// Whether a drain has started.
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.state.drain.is_draining()
     }
 
     /// Wait for the drain to finish (every queued request answered).
     pub fn join(self) {
         for t in self.threads {
             let _ = t.join();
-        }
-    }
-}
-
-/// Read one client frame and answer inline, enqueue, reject, or — for a
-/// v4 `HELLO` — promote the connection to a multiplexed session on its
-/// own reader thread.
-fn handle_connection(
-    mut conn: TcpStream,
-    state: &Arc<GateState>,
-    shutdown: &Arc<AtomicBool>,
-    io_timeout: Duration,
-) {
-    let _ = conn.set_read_timeout(Some(io_timeout));
-    let _ = conn.set_write_timeout(Some(io_timeout));
-    let frame = match read_frame(&mut conn) {
-        Ok(f) => f,
-        Err(e) => {
-            state.stats.proto_errors.inc();
-            let reply = Reply::Error(format!("bad request: {e}"));
-            let _ = write_frame(&mut conn, &reply.to_frame().with_version(VERSION));
-            return;
-        }
-    };
-    let version = frame.version;
-    let request_id = frame.request_id;
-    let request = match Request::from_frame(&frame) {
-        Ok(r) => r,
-        Err(e) => {
-            state.stats.proto_errors.inc();
-            let reply = Reply::Error(format!("bad request: {e}"));
-            let _ = write_frame(
-                &mut conn,
-                &reply.to_frame().with_request(request_id).with_version(version),
-            );
-            return;
-        }
-    };
-    let answer = |mut conn: TcpStream, reply: &Reply| {
-        let _ = write_frame(
-            &mut conn,
-            &reply.to_frame().with_request(request_id).with_version(version),
-        );
-    };
-    match request {
-        // A v4 connection that opens with HELLO becomes a session; the
-        // reader thread owns the connection from here.
-        Request::Hello { window } if version >= SESSION_VERSION => {
-            let state = state.clone();
-            let shutdown = shutdown.clone();
-            let spawned =
-                std::thread::Builder::new().name("act-gate-session".into()).spawn(move || {
-                    run_gate_session(conn, request_id, window, state, shutdown, io_timeout)
-                });
-            if spawned.is_err() {
-                events().emit(Level::Warn, "gate.session", "failed to spawn session thread");
-            }
-        }
-        Request::Hello { .. } => {
-            answer(conn, &Reply::Error("HELLO requires protocol v4".into()));
-        }
-        // The stream kinds only exist inside a session.
-        Request::TracePutStart { .. } | Request::DiagnoseStart(_) => {
-            answer(
-                conn,
-                &Reply::Error("streaming uploads require a v4 session (send HELLO first)".into()),
-            );
-        }
-        Request::StreamChunk(_) | Request::StreamEnd { .. } => {
-            state.stats.proto_errors.inc();
-            answer(conn, &Reply::Error("stream frame outside an open stream".into()));
-        }
-        Request::Status => {
-            let (text, snap) = state.aggregated_status();
-            let reply = if version >= 2 {
-                Reply::StatusMetrics(text, snap)
-            } else {
-                Reply::StatusText(text)
-            };
-            answer(conn, &reply);
-        }
-        Request::Shutdown => {
-            answer(conn, &Reply::Bye);
-            events().emit(Level::Info, "gate.shutdown", "shutdown requested; draining");
-            shutdown.store(true, Ordering::SeqCst);
-            state.queue.close();
-        }
-        req @ (Request::Train(_)
-        | Request::Diagnose(..)
-        | Request::TracePut { .. }
-        | Request::TraceGet { .. }) => {
-            let key = route_key(&req).expect("routable requests carry a shard key");
-            let job = GateJob {
-                target: GateTarget::OneShot { conn, version, request_id },
-                frame,
-                request: req,
-                key,
-                accepted: Instant::now(),
-            };
-            match state.queue.try_push(job) {
-                Ok(()) => state.stats.routed.inc(),
-                Err(job) => {
-                    state.stats.rejected_busy.inc();
-                    job.target.respond(Reply::Busy.to_frame());
-                }
-            }
         }
     }
 }

@@ -1,8 +1,8 @@
-//! Client-facing protocol-v4 sessions: the gateway end of multiplexed
-//! pipelining, plus the chunked-stream relay.
+//! Client-facing sessions: the gateway end of multiplexed pipelining,
+//! plus the chunked-stream relay.
 //!
-//! A client that opens with `HELLO` gets its own session reader thread
-//! here, mirroring act-serve's: the reader demultiplexes frames, claims a
+//! Every client connection gets its own session thread here, mirroring
+//! act-serve's: it waits for the `HELLO`, then demultiplexes frames, claims a
 //! window slot per routable request, and enqueues each one as an ordinary
 //! forwarding job — so requests from one session fail over *independently*
 //! (each picks its own backend by shard key) and replies go back out of
@@ -17,15 +17,14 @@
 //! After `STREAM_END` a one-off thread waits for the backend's verdict so
 //! a slow ingest cannot stall the session's other pipelined requests.
 
-use crate::gateway::{route_key, GateJob, GateState, GateTarget};
+use crate::gateway::{route_key, GateJob, GateState};
 use act_obs::{events, Level};
-use act_serve::proto::{read_frame, write_frame, Frame, VERSION};
-use act_serve::{Reply, Request};
-use std::io::{self, Read};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use act_serve::conn::{hello, next_frame, read_hello, Conn};
+use act_serve::proto::{read_frame, write_frame, Frame};
+use act_serve::{ClientError, Reply, Request};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Cap on the in-flight window granted to one client session.
 pub(crate) const GATE_SESSION_WINDOW: u32 = 32;
@@ -34,16 +33,12 @@ pub(crate) const GATE_SESSION_WINDOW: u32 = 32;
 /// connection (a width-1 session, so any fixed nonzero id works).
 const BACKEND_STREAM_ID: u32 = 1;
 
-/// How long the session reader waits for a frame's first byte before
-/// re-checking shutdown.
-const SESSION_POLL: Duration = Duration::from_millis(25);
-
 /// The half of a client session shared between its reader thread and the
 /// forwarding workers answering its requests: the write side of the
 /// socket plus the in-flight account. Frames go out whole under the
 /// writer lock, so replies from concurrent workers never interleave.
 pub(crate) struct GateSessionShared {
-    writer: Mutex<TcpStream>,
+    writer: Mutex<Conn>,
     window: u32,
     in_flight: AtomicU32,
 }
@@ -51,13 +46,7 @@ pub(crate) struct GateSessionShared {
 impl GateSessionShared {
     /// Write one reply, tagged with the request id it answers.
     pub(crate) fn send(&self, request_id: u32, reply: &Reply) {
-        self.send_frame(request_id, reply.to_frame());
-    }
-
-    /// Write a reply frame (possibly relayed verbatim from a backend),
-    /// restamped with the client's request id at the session version.
-    pub(crate) fn send_frame(&self, request_id: u32, frame: Frame) {
-        let frame = frame.with_request(request_id).with_version(VERSION);
+        let frame = reply.to_frame().with_request(request_id);
         let mut w = self.writer.lock().expect("gate session writer lock");
         // A vanished client is noticed by the session reader; move on.
         let _ = write_frame(&mut *w, &frame);
@@ -75,7 +64,7 @@ impl GateSessionShared {
     }
 
     /// Release a claimed slot without replying (client disconnected).
-    pub(crate) fn finish_request(&self) {
+    fn finish_request(&self) {
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 
@@ -87,40 +76,41 @@ impl GateSessionShared {
         self.finish_request();
         self.send(request_id, reply);
     }
-
-    /// [`GateSessionShared::send_final`] for an already-encoded frame.
-    pub(crate) fn send_final_frame(&self, request_id: u32, frame: Frame) {
-        self.finish_request();
-        self.send_frame(request_id, frame);
-    }
 }
 
 /// One in-progress chunked upload being relayed to a backend over its own
 /// dedicated width-1 session.
 struct StreamRelay {
-    backend: TcpStream,
+    backend: Conn,
     backend_index: usize,
     client_request_id: u32,
 }
 
-/// Drive one client session: ack the `HELLO`, then demultiplex frames
-/// until the client closes, the gateway drains, or the stream desyncs.
-pub(crate) fn run_gate_session(
-    mut conn: TcpStream,
-    hello_id: u32,
-    asked: u32,
-    state: Arc<GateState>,
-    shutdown: Arc<AtomicBool>,
-    io_timeout: Duration,
-) {
+/// Drive one client connection: track it with the drain, wait for its
+/// `HELLO`, then demultiplex frames until the client closes, the drain
+/// cuts the read side, or the stream desyncs.
+pub(crate) fn run_gate_session(mut conn: Conn, state: &Arc<GateState>) {
+    let Ok(_tracked) = state.drain.track(&conn) else { return };
+    if state.drain.is_draining() {
+        return;
+    }
+    let io_timeout = state.io_timeout;
+    let _ = conn.set_write_timeout(Some(io_timeout));
+    let (hello_id, asked) = match read_hello(&mut conn, io_timeout) {
+        Ok(hello) => hello,
+        Err((request_id, why)) => {
+            state.stats.proto_errors.inc();
+            let reply = Reply::Error(why).to_frame().with_request(request_id);
+            // The connection closes either way; a vanished client is fine.
+            let _ = write_frame(&mut conn, &reply);
+            return;
+        }
+    };
     let writer = match conn.try_clone() {
         Ok(w) => w,
         Err(e) => {
             let reply = Reply::Error(format!("session setup failed: {e}"));
-            let _ = write_frame(
-                &mut conn,
-                &reply.to_frame().with_request(hello_id).with_version(VERSION),
-            );
+            let _ = write_frame(&mut conn, &reply.to_frame().with_request(hello_id));
             return;
         }
     };
@@ -131,30 +121,15 @@ pub(crate) fn run_gate_session(
         window: granted,
         in_flight: AtomicU32::new(0),
     });
-    shared.send(hello_id, &Reply::HelloAck { window: granted });
+    // Counted open before the ack, so a client that sees the ack sees it.
     state.stats.sessions_open.add(1);
+    shared.send(hello_id, &Reply::HelloAck { window: granted });
     let mut relay: Option<StreamRelay> = None;
 
-    'session: while !shutdown.load(Ordering::SeqCst) {
-        // Wait for the next frame's first byte with a short timeout (an
-        // all-or-nothing 1-byte read), so idle sessions notice shutdown
-        // without ever stranding a partial header.
-        let _ = conn.set_read_timeout(Some(SESSION_POLL));
-        let mut first = [0u8; 1];
-        match conn.read(&mut first) {
-            Ok(0) => break 'session, // client closed
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue 'session;
-            }
-            Err(_) => break 'session,
-        }
-        // A frame has started: the rest must arrive within io_timeout.
-        let _ = conn.set_read_timeout(Some(io_timeout));
-        let frame = match read_frame((&first[..]).chain(&mut conn)) {
-            Ok(f) => f,
+    'session: loop {
+        let frame = match next_frame(&mut conn, io_timeout) {
+            Ok(Some(f)) => f,
+            Ok(None) => break 'session, // client closed, or the drain cut us
             Err(e) => {
                 // The stream position is unknown; the session cannot
                 // continue. Best-effort error, then close.
@@ -182,10 +157,9 @@ pub(crate) fn run_gate_session(
                 shared.send(request_id, &Reply::StatusMetrics(text, snap));
             }
             Request::Shutdown => {
-                shared.send(request_id, &Reply::Bye);
                 events().emit(Level::Info, "gate.shutdown", "shutdown requested; draining");
-                shutdown.store(true, Ordering::SeqCst);
-                state.queue.close();
+                state.begin_drain();
+                shared.send(request_id, &Reply::Bye);
                 break 'session;
             }
             Request::TracePutStart { .. } | Request::DiagnoseStart(_) => {
@@ -199,7 +173,7 @@ pub(crate) fn run_gate_session(
                     continue 'session;
                 }
                 let key = route_key(&request).expect("stream openers carry a shard key");
-                match open_relay(&state, &frame, &key) {
+                match open_relay(state, &frame, &key) {
                     Ok(r) => relay = Some(r),
                     Err(msg) => {
                         state.stats.failed.inc();
@@ -216,7 +190,7 @@ pub(crate) fn run_gate_session(
                     );
                     continue 'session;
                 };
-                let fwd = frame.clone().with_request(BACKEND_STREAM_ID).with_version(VERSION);
+                let fwd = frame.with_request(BACKEND_STREAM_ID);
                 if let Err(e) = write_frame(&mut active.backend, &fwd) {
                     // Chunks have flowed: no failover, no replay.
                     let dead = relay.take().expect("relay checked above");
@@ -255,8 +229,8 @@ pub(crate) fn run_gate_session(
                 }
                 let key = route_key(&req).expect("routable requests carry a shard key");
                 let job = GateJob {
-                    target: GateTarget::Session { shared: shared.clone(), request_id },
-                    frame,
+                    shared: shared.clone(),
+                    request_id,
                     request: req,
                     key,
                     accepted: Instant::now(),
@@ -264,8 +238,9 @@ pub(crate) fn run_gate_session(
                 match state.queue.try_push(job) {
                     Ok(()) => state.stats.routed.inc(),
                     Err(job) => {
+                        // Full — or closed by the drain: never queued.
                         state.stats.rejected_busy.inc();
-                        job.target.respond(Reply::Busy.to_frame());
+                        job.shared.send_final(job.request_id, &Reply::Busy);
                     }
                 }
             }
@@ -294,22 +269,14 @@ fn open_relay(state: &GateState, frame: &Frame, key: &str) -> Result<StreamRelay
 
     let mut last_err = String::from("no backends configured");
     for &b in &candidates {
-        let mut backend = match stream_handshake(state, b) {
-            Ok(conn) => conn,
-            Err(HandshakeFailure::Transport(why)) => {
-                state.note_backend_down(b, &why);
-                last_err = why;
-                continue;
-            }
-            Err(HandshakeFailure::NoSessions) => {
-                // Alive, just old: it can never take a stream.
-                last_err = format!("backend {b} does not speak v4 streaming");
-                continue;
-            }
-        };
-        let fwd = frame.clone().with_request(BACKEND_STREAM_ID).with_version(VERSION);
-        match write_frame(&mut backend, &fwd) {
-            Ok(()) => {
+        let opened = state.pool.connect(b).map_err(ClientError::Io).and_then(|mut backend| {
+            // The dedicated width-1 session the stream relay rides on.
+            hello(&mut backend, 1)?;
+            write_frame(&mut backend, &frame.clone().with_request(BACKEND_STREAM_ID))?;
+            Ok(backend)
+        });
+        match opened {
+            Ok(backend) => {
                 state.note_backend_up(b);
                 return Ok(StreamRelay {
                     backend,
@@ -326,36 +293,16 @@ fn open_relay(state: &GateState, frame: &Frame, key: &str) -> Result<StreamRelay
     Err(format!("no backend could accept a stream for key {key}: {last_err}"))
 }
 
-enum HandshakeFailure {
-    Transport(String),
-    NoSessions,
-}
-
-/// Connect to backend `b` and negotiate the width-1 session a stream
-/// relay rides on.
-fn stream_handshake(state: &GateState, b: usize) -> Result<TcpStream, HandshakeFailure> {
-    let transport = |e: &dyn std::fmt::Display| HandshakeFailure::Transport(e.to_string());
-    let mut conn = state.pool.connect(b).map_err(|e| transport(&e))?;
-    let hello = Request::Hello { window: 1 }.to_frame().with_request(0);
-    write_frame(&mut conn, &hello).map_err(|e| transport(&e))?;
-    let ack = read_frame(&mut conn).map_err(|e| transport(&e))?;
-    match Reply::from_frame(&ack) {
-        Ok(Reply::HelloAck { .. }) => Ok(conn),
-        Ok(_) => Err(HandshakeFailure::NoSessions),
-        Err(e) => Err(transport(&e)),
-    }
-}
-
 /// Wait for the backend's verdict on a sealed stream and forward it to
 /// the client under its original request id.
 fn finish_relay(mut done: StreamRelay, shared: Arc<GateSessionShared>, state: Arc<GateState>) {
-    match read_frame(&mut done.backend) {
+    match read_frame(&mut done.backend).and_then(|f| Reply::from_frame(&f)) {
         Ok(reply) => {
             state.note_backend_up(done.backend_index);
             state.stats.forwarded_by[done.backend_index].inc();
             state.stats.relayed.inc();
             state.stats.streams_relayed.inc();
-            shared.send_final_frame(done.client_request_id, reply);
+            shared.send_final(done.client_request_id, &reply);
         }
         Err(e) => {
             state.note_backend_down(done.backend_index, &e.to_string());

@@ -4,21 +4,22 @@
 //!
 //! Covers the gateway acceptance criteria:
 //! - killing a key's owning backend mid-fleet fails the request over to
-//!   the next ring owner with zero client-visible errors — one-shot and
-//!   with four pipelined requests in flight on one v4 session;
+//!   the next ring owner with zero client-visible errors — one request at
+//!   a time and with four pipelined requests in flight on one session;
 //! - a backend answering `BUSY` gets the same failover treatment;
-//! - frames pass through byte-identically at every supported protocol
-//!   version (proptest over v1–v4 and payload shapes);
-//! - `STATUS` aggregates every backend's metrics under one reply.
+//! - `STATUS` aggregates every backend's metrics under one reply;
+//! - a connection that never says anything stalls no other client, and
+//!   the drain does not wait for it.
 
 use act_client::Client;
 use act_gate::{GateConfig, Gateway};
-use act_serve::proto::{read_frame, write_frame, Frame, FrameKind, VERSION};
+use act_obs::MetricsSnapshot;
+use act_serve::proto::{read_frame, write_frame, FrameKind};
 use act_serve::{ModelSpec, Reply, Request};
 use act_serve::{ServeConfig, Server};
-use proptest::prelude::*;
+use std::io::Read as _;
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Boot a real act-serve backend on an ephemeral port.
 fn boot_backend() -> Server {
@@ -47,7 +48,7 @@ fn boot_gateway(backends: Vec<String>) -> Gateway {
     Gateway::start(cfg).expect("gateway boots")
 }
 
-/// A one-shot act-client pointed at the gateway.
+/// A depth-1 act-client pointed at the gateway.
 fn gate_client(gate: &Gateway) -> Client {
     Client::builder()
         .addr(gate.tcp_addr().to_string())
@@ -141,20 +142,30 @@ fn killing_the_owner_fails_over_to_the_ring_neighbor() {
     }
 }
 
-/// A stub backend that answers every routable frame with `BUSY` (and
-/// `STATUS` probes with a plausible status, so health checks pass).
+/// A stub backend that speaks sessions: it acks the `HELLO`, answers
+/// `STATUS` probes with a plausible status (so health checks pass), and
+/// every other request with `BUSY`, each under its request id.
 fn spawn_busy_stub() -> String {
     let listener = TcpListener::bind("127.0.0.1:0").expect("stub binds");
     let addr = listener.local_addr().unwrap().to_string();
     std::thread::spawn(move || {
         for conn in listener.incoming() {
             let Ok(mut conn) = conn else { break };
-            let Ok(frame) = read_frame(&mut conn) else { continue };
-            let reply = match frame.kind {
-                FrameKind::Status => Reply::StatusText("stub status\n".into()).to_frame(),
-                _ => Reply::Busy.to_frame(),
-            };
-            let _ = write_frame(&mut conn, &reply.with_version(frame.version));
+            std::thread::spawn(move || {
+                while let Ok(frame) = read_frame(&mut conn) {
+                    let reply = match frame.kind {
+                        FrameKind::Hello => Reply::HelloAck { window: 32 },
+                        FrameKind::Status => {
+                            Reply::StatusMetrics("stub status\n".into(), MetricsSnapshot::new())
+                        }
+                        _ => Reply::Busy,
+                    };
+                    let reply = reply.to_frame().with_request(frame.request_id);
+                    if write_frame(&mut conn, &reply).is_err() {
+                        break;
+                    }
+                }
+            });
         }
     });
     addr
@@ -177,93 +188,6 @@ fn busy_owner_fails_over_to_the_next_backend() {
     gate.join();
     real.shutdown();
     real.join();
-}
-
-/// A stub backend that echoes each routable frame's payload back under a
-/// `Trained` frame at the same version — the passthrough oracle: whatever
-/// bytes enter the gateway must exit it unchanged.
-fn spawn_echo_stub() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("stub binds");
-    let addr = listener.local_addr().unwrap().to_string();
-    std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            let Ok(mut conn) = conn else { break };
-            let Ok(frame) = read_frame(&mut conn) else { continue };
-            let reply = match frame.kind {
-                FrameKind::Status => {
-                    Reply::StatusText("stub status\n".into()).to_frame().with_version(frame.version)
-                }
-                _ => Frame {
-                    version: frame.version,
-                    kind: FrameKind::Trained,
-                    request_id: frame.request_id,
-                    payload: frame.payload,
-                },
-            };
-            let _ = write_frame(&mut conn, &reply);
-        }
-    });
-    addr
-}
-
-/// One raw framed exchange with the gateway, no client-library smarts.
-fn raw_exchange(addr: &str, frame: &Frame) -> Frame {
-    let mut conn = TcpStream::connect(addr).expect("connect to gateway");
-    write_frame(&mut conn, frame).expect("send frame");
-    read_frame(&mut conn).expect("reply frame")
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Any well-formed request at any supported version passes through the
-    /// gateway byte-identically: same payload back, same version stamp.
-    #[test]
-    fn frames_pass_through_byte_identical_at_every_version(
-        version in 1u8..VERSION + 1,
-        workload_ix in 0usize..4,
-        seed in 0u64..1000,
-        traces in 1u32..32,
-    ) {
-        let echo = spawn_echo_stub();
-        let gate = boot_gateway(vec![echo]);
-        let addr = gate.tcp_addr().to_string();
-
-        let workload = ["seq", "prodcons", "pipeline", "mutex"][workload_ix];
-        let mut spec = tiny_spec(workload, seed);
-        spec.traces = traces;
-        let sent = Request::Train(spec).to_frame().with_version(version);
-        let got = raw_exchange(&addr, &sent);
-
-        prop_assert_eq!(got.kind, FrameKind::Trained);
-        prop_assert_eq!(got.version, version);
-        prop_assert_eq!(&got.payload, &sent.payload);
-
-        gate.shutdown();
-        gate.join();
-    }
-}
-
-#[test]
-fn v1_client_sees_v1_replies_from_a_v3_fleet() {
-    let backend = boot_backend();
-    let gate = boot_gateway(vec![addr_of(&backend)]);
-    let addr = gate.tcp_addr().to_string();
-
-    let sent = Request::Train(tiny_spec("seq", 0)).to_frame().with_version(1);
-    let got = raw_exchange(&addr, &sent);
-    assert_eq!(got.kind, FrameKind::Trained);
-    assert_eq!(got.version, 1, "negotiated version is min(client, backend)");
-
-    // STATUS at v1 must downgrade to the plain-text reply.
-    let got = raw_exchange(&addr, &Request::Status.to_frame().with_version(1));
-    assert_eq!(got.kind, FrameKind::StatusText);
-    assert_eq!(got.version, 1);
-
-    gate.shutdown();
-    gate.join();
-    backend.shutdown();
-    backend.join();
 }
 
 #[test]
@@ -312,9 +236,20 @@ fn status_aggregates_the_whole_fleet() {
 fn gateway_shutdown_drains_without_touching_backends() {
     let backend = boot_backend();
     let gate = boot_gateway(vec![addr_of(&backend)]);
+    let addr = gate.tcp_addr().to_string();
+    // An idle session and a silent connection are open through the drain.
+    let idle = gate_client(&gate);
+    idle.pipeline().expect("idle session opens");
+    // Accepted before the SHUTDOWN connection (accept is FIFO).
+    let mut silent = TcpStream::connect(&addr).expect("connect");
+
+    let t0 = Instant::now();
     gate_client(&gate).shutdown().expect("shutdown acked with BYE");
-    assert!(gate.is_shutting_down());
+    assert!(gate.is_shutting_down(), "BYE goes out after the drain has started");
     gate.join();
+    assert!(t0.elapsed() < Duration::from_secs(1), "drain took {:?}", t0.elapsed());
+    silent.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    silent.read_to_end(&mut Vec::new()).expect("the drain closed the silent connection");
 
     // The backend outlives its gateway.
     let direct = Client::builder().addr(addr_of(&backend)).build().expect("client builds");
@@ -439,4 +374,53 @@ fn pipelined_session_fails_over_with_four_requests_in_flight() {
         b.shutdown();
         b.join();
     }
+}
+
+#[test]
+fn a_silent_connection_does_not_stall_status() {
+    let backend = boot_backend();
+    let cfg = GateConfig {
+        backends: vec![addr_of(&backend)],
+        io_timeout: Duration::from_secs(4),
+        connect_timeout: Duration::from_millis(500),
+        probe_timeout: Duration::from_millis(500),
+        ..GateConfig::default()
+    };
+    let gate = Gateway::start(cfg).expect("gateway boots");
+    // Connected, and never sends a byte; accepted before the client's
+    // connection (accept is FIFO).
+    let _silent = TcpStream::connect(gate.tcp_addr()).expect("connect");
+
+    let t0 = Instant::now();
+    let status = gate_client(&gate).status().expect("status through the gateway");
+    assert!(t0.elapsed() < Duration::from_secs(1), "STATUS took {:?}", t0.elapsed());
+    assert!(status.text.contains("act-gate status"), "{}", status.text);
+
+    gate.shutdown();
+    gate.join();
+    backend.shutdown();
+    backend.join();
+}
+
+#[test]
+fn a_first_frame_other_than_hello_gets_error_and_the_connection_closes() {
+    let backend = boot_backend();
+    let gate = boot_gateway(vec![addr_of(&backend)]);
+    let mut stream = TcpStream::connect(gate.tcp_addr()).expect("connect");
+    let train = Request::Train(tiny_spec("seq", 0)).to_frame().with_request(5);
+    write_frame(&mut stream, &train).expect("send");
+    let frame = read_frame(&mut stream).expect("error frame");
+    assert_eq!(frame.request_id, 5, "the error answers the offending request");
+    match Reply::from_frame(&frame).expect("decode") {
+        Reply::Error(msg) => assert!(msg.contains("HELLO"), "msg: {msg}"),
+        other => panic!("expected ERROR, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    assert_eq!(stream.read_to_end(&mut rest).expect("read to close"), 0, "connection closed");
+    assert_eq!(gate.stats().relayed(), 0, "nothing was forwarded");
+
+    gate.shutdown();
+    gate.join();
+    backend.shutdown();
+    backend.join();
 }

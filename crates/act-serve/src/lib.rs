@@ -10,12 +10,14 @@
 //! Architecture (all std, no external dependencies):
 //!
 //! ```text
-//!  clients ── TCP / Unix socket ──► acceptor threads
-//!                  │                    │  STATUS / SHUTDOWN answered inline
-//!                  │ HELLO (v4)         ▼
-//!                  ▼            BoundedQueue<Job>  ── full ──► BUSY reply
-//!          session reader ────────────►│  (pipelined requests, streamed
-//!          (windowed, chunked)         │   chunks decoded on the session)
+//!  clients ── TCP / Unix socket ──► acceptor threads (blocking accept)
+//!                                       │ one thread per connection
+//!                                       ▼
+//!          session reader: HELLO, then frames   STATUS / SHUTDOWN inline
+//!          (windowed, chunked) ─────────┐
+//!                                       ▼
+//!                             BoundedQueue<Job>  ── full ──► BUSY reply
+//!                                      │
 //!                                      ▼
 //!                            worker pool (catch_unwind)
 //!                                      │
@@ -26,29 +28,30 @@
 //!                    diagnose_trace ─► ranked suspect list reply
 //! ```
 //!
-//! - [`proto`] — the length-prefixed binary frame protocol, including the
-//!   v4 multiplexed-session and chunked-stream frames (see `PROTOCOL.md`
-//!   for the wire spec).
+//! - [`proto`] — the length-prefixed binary frame protocol: multiplexed
+//!   sessions and chunked-stream frames (see `PROTOCOL.md` for the wire
+//!   spec).
 //! - [`server`] — listeners, acceptors, session readers, backpressure,
 //!   graceful drain.
 //! - [`pool`] — crash-isolated request workers.
 //! - [`cache`] — the LRU model cache keyed by (workload, topology, seed),
 //!   persisted through `act-core`'s weight store.
 //! - [`client`] — the transport vocabulary ([`Endpoint`], [`ClientConfig`],
-//!   ...) plus deprecated one-shot request shims; application code should
-//!   use the `act-client` crate's typed `Client` façade instead.
+//!   ...); application code talks to a daemon through the `act-client`
+//!   crate's typed `Client` façade.
+//! - [`conn`] — the socket type, the `HELLO` handshake, the blocking
+//!   session frame reader, and the drain switch, shared with act-gate and
+//!   act-client.
 
 pub mod cache;
 pub mod client;
+pub mod conn;
 pub(crate) mod pool;
 pub mod proto;
 pub mod server;
 
 pub use cache::{CacheOutcome, Model, ModelCache, ModelKey};
-#[allow(deprecated)] // the shims stay re-exported until every caller has moved to act-client
-pub use client::{
-    connect_tcp, request, request_timeout, request_with, ClientConfig, ClientError, Endpoint,
-    RetryPolicy,
-};
+pub use client::{connect_tcp, ClientConfig, ClientError, Endpoint, RetryPolicy};
+pub use conn::{Conn, Drain};
 pub use proto::{Frame, FrameKind, ModelSpec, ProtoError, Reply, Request};
 pub use server::{ServeConfig, Server, ServerStats};

@@ -12,7 +12,7 @@
 //! waits — the gather window — for stragglers) up to the configured batch
 //! size, then runs the whole batch through
 //! [`act_core::diagnosis::diagnose_trace_batch`] and answers every member.
-//! Replies bound for the same v4 session go out as one buffered write.
+//! Replies bound for the same session go out as one buffered write.
 //! The win on a loaded daemon is amortization: one worker wakeup, one
 //! model-cache lookup, one classify sweep, and one reply syscall per
 //! *batch* instead of per request — while the batched kernel is
@@ -22,7 +22,7 @@
 
 use crate::cache::{CacheOutcome, ModelCache, ModelKey};
 use crate::proto::{ModelSpec, Reply, Request};
-use crate::server::{send_reply, stored_summary, Conn, ServerStats, SessionShared};
+use crate::server::{stored_summary, ServerStats, SessionShared};
 use act_core::diagnosis::{diagnose_trace, diagnose_trace_batch};
 use act_core::postprocess::Diagnosis;
 use act_fleet::{panic_message, BoundedQueue};
@@ -44,40 +44,19 @@ pub(crate) struct BatchPolicy {
     pub wait: Duration,
 }
 
-/// Where a finished request's reply goes: a one-shot connection (the
-/// v1–v3 model — and plain v4 requests outside a session) or a slot on a
-/// multiplexed v4 session.
-pub(crate) enum Responder {
-    /// Reply, then drop the connection (one request per connection).
-    OneShot {
-        /// The connection the reply is written to.
-        conn: Conn,
-        /// Protocol version the request arrived with; the reply is
-        /// stamped with it so old clients can decode what they get back.
-        version: u8,
-        /// Echoed on v4 one-shot replies; 0 below v4.
-        request_id: u32,
-    },
-    /// Reply onto a session's shared writer and release its window slot.
-    Session {
-        /// The session the request arrived on.
-        shared: Arc<SessionShared>,
-        /// Which in-flight request this answers.
-        request_id: u32,
-    },
+/// Where a finished request's reply goes: a slot on the session it
+/// arrived on.
+pub(crate) struct Responder {
+    /// The session the request arrived on.
+    pub shared: Arc<SessionShared>,
+    /// Which in-flight request this answers.
+    pub request_id: u32,
 }
 
 impl Responder {
-    /// Deliver `reply` wherever this request came from.
+    /// Deliver `reply` and release the request's window slot.
     pub(crate) fn respond(self, reply: &Reply, stats: &ServerStats) {
-        match self {
-            Responder::OneShot { mut conn, version, request_id } => {
-                send_reply(&mut conn, version, request_id, reply, stats);
-            }
-            Responder::Session { shared, request_id } => {
-                shared.send_final(request_id, reply, stats);
-            }
-        }
+        self.shared.send_final(self.request_id, reply, stats);
     }
 }
 
@@ -339,30 +318,18 @@ fn process_batch(batch: Vec<Job>, cache: &ModelCache, stats: &ServerStats, deadl
     respond_batch(finished, stats);
 }
 
-/// Deliver a batch's replies: one-shot connections answer directly, and
-/// replies sharing a session are concatenated into a single buffered
-/// write via [`SessionShared::send_final_batch`].
+/// Deliver a batch's replies: replies sharing a session are concatenated
+/// into a single buffered write via [`SessionShared::send_final_batch`].
 fn respond_batch(finished: Vec<(Responder, Reply)>, stats: &ServerStats) {
     let mut sessions: Vec<(Arc<SessionShared>, Vec<(u32, Reply)>)> = Vec::new();
-    for (responder, reply) in finished {
-        match responder {
-            Responder::OneShot { mut conn, version, request_id } => {
-                send_reply(&mut conn, version, request_id, &reply, stats);
-            }
-            Responder::Session { shared, request_id } => {
-                match sessions.iter_mut().find(|(s, _)| Arc::ptr_eq(s, &shared)) {
-                    Some((_, replies)) => replies.push((request_id, reply)),
-                    None => sessions.push((shared, vec![(request_id, reply)])),
-                }
-            }
+    for (Responder { shared, request_id }, reply) in finished {
+        match sessions.iter_mut().find(|(s, _)| Arc::ptr_eq(s, &shared)) {
+            Some((_, replies)) => replies.push((request_id, reply)),
+            None => sessions.push((shared, vec![(request_id, reply)])),
         }
     }
     for (shared, replies) in sessions {
-        if let [(request_id, reply)] = &replies[..] {
-            shared.send_final(*request_id, reply, stats);
-        } else {
-            shared.send_final_batch(&replies, stats);
-        }
+        shared.send_final_batch(&replies, stats);
     }
 }
 

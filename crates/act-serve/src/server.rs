@@ -1,114 +1,44 @@
-//! The daemon: listeners, acceptor threads, the bounded job queue, and the
-//! counters block behind `STATUS`.
+//! The daemon: listeners, acceptor threads, session readers, the bounded
+//! job queue, and the counters block behind `STATUS`.
 //!
-//! Life of a request: an acceptor thread accepts the connection, reads one
-//! frame, and either answers inline (`STATUS`, `SHUTDOWN` — always
-//! serviceable, even with a full queue) or wraps the connection + request
-//! into a [`Job`](crate::pool::Job) and `try_push`es it onto the bounded
-//! queue. A full queue yields an immediate `BUSY` reply — the request was
-//! *refused*, never accepted-then-dropped. Workers drain the queue (see
-//! [`crate::pool`]); `SHUTDOWN` (or [`Server::shutdown`], which the CLI
-//! wires to SIGINT) stops the acceptors, closes the queue, and lets the
-//! workers finish every accepted job before [`Server::join`] returns.
+//! Life of a connection: an acceptor thread blocks in `accept` and hands
+//! every connection to its own session thread. The session thread waits
+//! up to `io_timeout` for the opening `HELLO` (anything else is answered
+//! `ERROR` and the connection closes), acks it with the granted window,
+//! and then blocks reading frames. `STATUS` and `SHUTDOWN` are answered
+//! inline — always serviceable, even with a full queue — and everything
+//! else claims a window slot and is `try_push`ed onto the bounded queue as
+//! a [`Job`](crate::pool::Job). A full queue yields an immediate `BUSY`
+//! reply — the request was *refused*, never accepted-then-dropped. Workers
+//! drain the queue (see [`crate::pool`]); `SHUTDOWN` (or
+//! [`Server::shutdown`], which the CLI wires to SIGINT) closes the queue,
+//! starts the [`Drain`] — which wakes the acceptors and ends every
+//! session's reads — and lets the workers finish every accepted job before
+//! [`Server::join`] returns.
 
 use crate::cache::{CacheOutcome, ModelCache};
+use crate::conn::{next_frame, read_hello, spawn_acceptor, Conn, Drain};
 use crate::pool::{spawn_workers, BatchPolicy, Job, Responder, Work};
-use crate::proto::{
-    encode_frame, read_frame, write_frame, ModelSpec, Reply, Request, SESSION_VERSION, VERSION,
-};
+use crate::proto::{encode_frame, write_frame, ModelSpec, Reply, Request};
 use act_fleet::BoundedQueue;
 use act_obs::{events, latency_bounds_us, Counter, Gauge, Histogram, Level, Registry};
 use act_store::Crc32;
 use act_trace::io::{parse_record_line, TraceBuilder, TraceSink, MAX_CODE_LEN};
 use act_trace::Trace;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener};
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long acceptors sleep between polls of an idle listener (they poll so
-/// the shutdown flag is noticed without a wakeup connection).
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
-/// How long a session reader blocks waiting for the next frame's first
-/// byte before re-checking the shutdown flag. The poll reads exactly one
-/// byte (all-or-nothing), so an idle timeout can never strand a partial
-/// frame header.
-const SESSION_POLL: Duration = Duration::from_millis(25);
 
 /// Ceiling on one streamed `DIAGNOSE` upload. Unlike streamed `TRACE_PUT`
 /// (disk-backed, memory bounded by the chunk size) a streamed diagnose
 /// materializes the parsed trace in memory, so it needs a cap; this one is
 /// 4x the old single-frame limit.
 const MAX_STREAM_DIAGNOSE_BYTES: u64 = 256 << 20;
-
-/// A client connection, TCP or Unix-domain.
-pub(crate) enum Conn {
-    /// TCP (remote or loopback) client.
-    Tcp(TcpStream),
-    /// Unix-domain-socket client (local, no network stack).
-    Unix(UnixStream),
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
-impl Conn {
-    fn set_timeouts(&self, t: Duration) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => {
-                s.set_read_timeout(Some(t))?;
-                s.set_write_timeout(Some(t))
-            }
-            Conn::Unix(s) => {
-                s.set_read_timeout(Some(t))?;
-                s.set_write_timeout(Some(t))
-            }
-        }
-    }
-
-    fn set_read_timeout(&self, t: Duration) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(Some(t)),
-            Conn::Unix(s) => s.set_read_timeout(Some(t)),
-        }
-    }
-
-    /// A second handle on the same socket — the session writer, so workers
-    /// can send replies while the reader blocks on the next frame.
-    fn try_clone(&self) -> io::Result<Conn> {
-        match self {
-            Conn::Tcp(s) => Ok(Conn::Tcp(s.try_clone()?)),
-            Conn::Unix(s) => Ok(Conn::Unix(s.try_clone()?)),
-        }
-    }
-}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -132,11 +62,13 @@ pub struct ServeConfig {
     /// Per-request deadline, measured from acceptance; a job popped after
     /// its deadline is answered with an error instead of being processed.
     pub deadline: Duration,
-    /// Socket read/write timeout for each connection.
+    /// How long a connection may take to send its `HELLO`, and how long
+    /// a started frame may take to arrive whole; also the write timeout.
+    /// An idle session between frames is not timed out.
     pub io_timeout: Duration,
-    /// Ceiling on the per-session in-flight window granted at `HELLO`
-    /// (protocol v4). A session asking for more (or for the default, 0)
-    /// gets `min(asked, session_window)`.
+    /// Ceiling on the per-session in-flight window granted at `HELLO`. A
+    /// session asking for more (or for the default, 0) gets
+    /// `min(asked, session_window)`.
     pub session_window: u32,
     /// Most diagnose requests coalesced into one micro-batch. `1`
     /// disables coalescing (every request dispatched alone); `0` is
@@ -174,7 +106,7 @@ impl Default for ServeConfig {
 
 /// Counters behind `STATUS` — the daemon's observability surface, backed
 /// by a per-server [`act_obs::Registry`] so the whole set serializes as
-/// one [`MetricsSnapshot`](act_obs::MetricsSnapshot) in v2 `STATUS`
+/// one [`MetricsSnapshot`](act_obs::MetricsSnapshot) in `STATUS`
 /// replies. Per-server (not the process-global registry) because the
 /// tests boot several daemons in one process and their counters must not
 /// mix. Request/reply counters are per [`FrameKind`](crate::FrameKind);
@@ -348,7 +280,7 @@ impl ServerStats {
         match reply {
             Reply::Trained(_) => self.reply_trained.inc(),
             Reply::Diagnosis(_) => self.reply_diagnosis.inc(),
-            Reply::StatusText(_) | Reply::StatusMetrics(..) => self.reply_status.inc(),
+            Reply::StatusMetrics(..) => self.reply_status.inc(),
             Reply::Bye => self.reply_bye.inc(),
             Reply::Busy => self.reply_busy.inc(),
             Reply::Error(_) => self.reply_error.inc(),
@@ -359,7 +291,7 @@ impl ServerStats {
     }
 
     /// Observe the queue depth seen by one enqueued request (the
-    /// per-request queue-depth histogram behind v2 `STATUS`).
+    /// per-request queue-depth histogram behind `STATUS`).
     pub(crate) fn note_enqueue_depth(&self, depth: usize) {
         self.enqueue_depth.observe(depth as u64);
     }
@@ -433,7 +365,7 @@ impl ServerStats {
         self.cache_memory_hits.get() + self.cache_disk_loads.get() + self.cache_store_loads.get()
     }
 
-    /// Every metric as one snapshot — what a v2 `STATUS` reply carries.
+    /// Every metric as one snapshot — what a `STATUS` reply carries.
     /// The point-in-time gauges (uptime, queue depth, resident models)
     /// are stamped first so the snapshot is self-contained.
     pub fn metrics_snapshot(
@@ -449,7 +381,7 @@ impl ServerStats {
     }
 
     /// Render the plain-text `STATUS` block: `key value` per line. The
-    /// keys are the v1 wire surface — scripts grep them — so the legacy
+    /// keys are a stable surface — scripts grep them — so the legacy
     /// aggregates (`cache_hits` = memory + disk, `cache_misses` =
     /// trained-from-scratch) are preserved verbatim.
     pub fn render(&self, uptime: Duration, queue_len: usize, models_resident: usize) -> String {
@@ -483,14 +415,10 @@ impl ServerStats {
 /// [`Server::shutdown`] (or send a `SHUTDOWN` frame) and then
 /// [`Server::join`].
 pub struct Server {
-    stats: Arc<ServerStats>,
-    queue: Arc<BoundedQueue<Job>>,
-    cache: Arc<ModelCache>,
-    shutdown: Arc<AtomicBool>,
+    ctx: Arc<SessionCtx>,
     threads: Vec<JoinHandle<()>>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
-    started: Instant,
 }
 
 impl Server {
@@ -522,7 +450,6 @@ impl Server {
         }
 
         let stats = Arc::new(ServerStats::default());
-        let queue = Arc::new(BoundedQueue::new(cfg.queue_depth));
         let mut cache = ModelCache::new(cfg.cache_capacity, cfg.model_dir.clone());
         if let Some(dir) = &cfg.corpus_dir {
             let corpus = act_store::Corpus::open_or_init(dir)
@@ -535,50 +462,53 @@ impl Server {
                 .with_registry(stats.registry());
             cache = cache.with_corpus(Arc::new(Mutex::new(corpus)));
         }
-        let cache = Arc::new(cache);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
 
-        let mut tcp_addr = None;
-        if let Some(addr) = &cfg.tcp_addr {
-            let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
-            tcp_addr = Some(listener.local_addr()?);
+        let tcp = cfg.tcp_addr.as_ref().map(TcpListener::bind).transpose()?;
+        let tcp_addr = tcp.as_ref().map(TcpListener::local_addr).transpose()?;
+        let unix = match &cfg.unix_path {
+            Some(path) => {
+                if path.exists() {
+                    std::fs::remove_file(path)?;
+                }
+                Some(UnixListener::bind(path)?)
+            }
+            None => None,
+        };
+        let ctx = Arc::new(SessionCtx {
+            queue: Arc::new(BoundedQueue::new(cfg.queue_depth)),
+            cache: Arc::new(cache),
+            stats,
+            drain: Drain::new(tcp_addr, cfg.unix_path.clone()),
+            io_timeout: cfg.io_timeout,
+            session_window: cfg.session_window,
+            started: Instant::now(),
+        });
+
+        let mut threads = Vec::new();
+        let serve = |ctx: Arc<SessionCtx>| move |conn: Conn| run_session(conn, &ctx);
+        if let Some(listener) = tcp {
             threads.push(spawn_acceptor(
                 "act-serve-accept-tcp",
+                "serve.session",
                 move || listener.accept().map(|(s, _)| Conn::Tcp(s)),
-                queue.clone(),
-                cache.clone(),
-                stats.clone(),
-                shutdown.clone(),
-                cfg.io_timeout,
-                cfg.session_window,
-                Instant::now(),
+                ctx.drain.clone(),
+                serve(ctx.clone()),
             )?);
         }
-        if let Some(path) = &cfg.unix_path {
-            if path.exists() {
-                std::fs::remove_file(path)?;
-            }
-            let listener = UnixListener::bind(path)?;
-            listener.set_nonblocking(true)?;
+        if let Some(listener) = unix {
             threads.push(spawn_acceptor(
                 "act-serve-accept-unix",
+                "serve.session",
                 move || listener.accept().map(|(s, _)| Conn::Unix(s)),
-                queue.clone(),
-                cache.clone(),
-                stats.clone(),
-                shutdown.clone(),
-                cfg.io_timeout,
-                cfg.session_window,
-                Instant::now(),
+                ctx.drain.clone(),
+                serve(ctx.clone()),
             )?);
         }
         threads.extend(spawn_workers(
             cfg.workers,
-            queue.clone(),
-            cache.clone(),
-            stats.clone(),
+            ctx.queue.clone(),
+            ctx.cache.clone(),
+            ctx.stats.clone(),
             cfg.deadline,
             BatchPolicy { size: cfg.batch_size, wait: cfg.batch_wait },
         ));
@@ -598,16 +528,7 @@ impl Server {
                 }
             ),
         );
-        Ok(Server {
-            stats,
-            queue,
-            cache,
-            shutdown,
-            threads,
-            tcp_addr,
-            unix_path: cfg.unix_path,
-            started: Instant::now(),
-        })
+        Ok(Server { ctx, threads, tcp_addr, unix_path: cfg.unix_path })
     }
 
     /// The bound TCP address (with the real port when `:0` was requested).
@@ -615,26 +536,27 @@ impl Server {
         self.tcp_addr
     }
 
-    /// Live counters (shared with the acceptors and workers).
+    /// Live counters (shared with the session readers and workers).
     pub fn stats(&self) -> Arc<ServerStats> {
-        self.stats.clone()
+        self.ctx.stats.clone()
     }
 
     /// The current `STATUS` block.
     pub fn status_text(&self) -> String {
-        self.stats.render(self.started.elapsed(), self.queue.len(), self.cache.resident())
+        let ctx = &self.ctx;
+        ctx.stats.render(ctx.started.elapsed(), ctx.queue.len(), ctx.cache.resident())
     }
 
-    /// Begin graceful drain: stop accepting, let workers finish accepted
-    /// jobs. Idempotent; also triggered by a `SHUTDOWN` frame.
+    /// Begin graceful drain: stop accepting and reading, let workers
+    /// finish accepted jobs. Idempotent; also triggered by a `SHUTDOWN`
+    /// frame.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.queue.close();
+        self.ctx.begin_drain();
     }
 
     /// Whether a drain has started.
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.ctx.drain.is_draining()
     }
 
     /// Wait for the drain to finish (acceptors stopped, every accepted job
@@ -649,201 +571,16 @@ impl Server {
     }
 }
 
-/// Spawn one acceptor thread over a nonblocking `accept` closure.
-#[allow(clippy::too_many_arguments)]
-fn spawn_acceptor(
-    name: &str,
-    mut accept: impl FnMut() -> io::Result<Conn> + Send + 'static,
-    queue: Arc<BoundedQueue<Job>>,
-    cache: Arc<ModelCache>,
-    stats: Arc<ServerStats>,
-    shutdown: Arc<AtomicBool>,
-    io_timeout: Duration,
-    session_window: u32,
-    started: Instant,
-) -> io::Result<JoinHandle<()>> {
-    std::thread::Builder::new().name(name.to_string()).spawn(move || {
-        while !shutdown.load(Ordering::SeqCst) {
-            match accept() {
-                Ok(conn) => handle_connection(
-                    conn,
-                    &queue,
-                    &cache,
-                    &stats,
-                    &shutdown,
-                    io_timeout,
-                    session_window,
-                    started,
-                ),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-                // Transient accept errors (e.g. aborted handshakes) must
-                // not kill the acceptor.
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
-            }
-        }
-    })
-}
-
-/// Read one request frame and either answer inline, enqueue, reject, or —
-/// for a v4 `HELLO` — promote the connection to a multiplexed session on
-/// its own reader thread.
-#[allow(clippy::too_many_arguments)]
-fn handle_connection(
-    mut conn: Conn,
-    queue: &Arc<BoundedQueue<Job>>,
-    cache: &Arc<ModelCache>,
-    stats: &Arc<ServerStats>,
-    shutdown: &Arc<AtomicBool>,
-    io_timeout: Duration,
-    session_window: u32,
-    started: Instant,
-) {
-    let _ = conn.set_timeouts(io_timeout);
-    let (version, request_id, request) = match read_frame(&mut conn) {
-        Ok(frame) => match Request::from_frame(&frame) {
-            Ok(req) => (frame.version, frame.request_id, req),
-            Err(e) => {
-                stats.bump_proto_errors();
-                send_reply(
-                    &mut conn,
-                    frame.version,
-                    frame.request_id,
-                    &Reply::Error(format!("bad request: {e}")),
-                    stats,
-                );
-                return;
-            }
-        },
-        Err(e) => {
-            stats.bump_proto_errors();
-            send_reply(&mut conn, VERSION, 0, &Reply::Error(format!("bad request: {e}")), stats);
-            return;
-        }
-    };
-    stats.note_request(&request);
-    match request {
-        // A v4 connection that opens with HELLO becomes a session; the
-        // reader thread owns the connection from here.
-        Request::Hello { window } if version >= SESSION_VERSION => {
-            let session = SessionCtx {
-                queue: queue.clone(),
-                cache: cache.clone(),
-                stats: stats.clone(),
-                shutdown: shutdown.clone(),
-                io_timeout,
-                started,
-            };
-            let granted =
-                if window == 0 { session_window } else { window.min(session_window) }.max(1);
-            let spawned = std::thread::Builder::new()
-                .name("act-serve-session".to_string())
-                .spawn(move || run_session(conn, request_id, granted, session));
-            if spawned.is_err() {
-                events().emit(Level::Warn, "serve.session", "failed to spawn session thread");
-            }
-        }
-        Request::Hello { .. } => {
-            // HELLO has no meaning below v4 (old clients never send it).
-            send_reply(
-                &mut conn,
-                version,
-                request_id,
-                &Reply::Error("HELLO requires protocol v4".into()),
-                stats,
-            );
-        }
-        // The stream kinds only exist inside a session.
-        Request::TracePutStart { .. } | Request::DiagnoseStart(_) => {
-            send_reply(
-                &mut conn,
-                version,
-                request_id,
-                &Reply::Error("streaming uploads require a v4 session (send HELLO first)".into()),
-                stats,
-            );
-        }
-        Request::StreamChunk(_) | Request::StreamEnd { .. } => {
-            stats.bump_proto_errors();
-            send_reply(
-                &mut conn,
-                version,
-                request_id,
-                &Reply::Error("stream frame outside an open stream".into()),
-                stats,
-            );
-        }
-        // Always answerable, even with a saturated queue — that is the
-        // point of handling them on the acceptor.
-        Request::Status => {
-            let reply = status_reply(version, queue, cache, stats, started);
-            send_reply(&mut conn, version, request_id, &reply, stats);
-        }
-        Request::Shutdown => {
-            send_reply(&mut conn, version, request_id, &Reply::Bye, stats);
-            events().emit(Level::Info, "serve.shutdown", "shutdown requested; draining");
-            shutdown.store(true, Ordering::SeqCst);
-            queue.close();
-        }
-        req @ (Request::Train(_)
-        | Request::Diagnose(..)
-        | Request::TracePut { .. }
-        | Request::TraceGet { .. }) => {
-            let depth = queue.len();
-            let job = Job {
-                responder: Responder::OneShot { conn, version, request_id },
-                work: Work::Request(req),
-                accepted: Instant::now(),
-            };
-            match queue.try_push(job) {
-                Ok(()) => {
-                    stats.bump_accepted();
-                    stats.note_enqueue_depth(depth);
-                }
-                Err(job) => {
-                    stats.bump_rejected();
-                    events().emit(Level::Debug, "serve.busy", "queue full: request rejected");
-                    job.responder.respond(&Reply::Busy, stats);
-                }
-            }
-        }
-    }
-}
-
-/// Build the `STATUS` reply for a `version` requester: v2+ gets the
-/// metrics snapshot, v1 the plain text block its decoder knows.
-fn status_reply(
-    version: u8,
-    queue: &BoundedQueue<Job>,
-    cache: &ModelCache,
-    stats: &ServerStats,
-    started: Instant,
-) -> Reply {
-    let text = stats.render(started.elapsed(), queue.len(), cache.resident());
-    if version >= 2 {
-        let snap = stats.metrics_snapshot(started.elapsed(), queue.len(), cache.resident());
-        Reply::StatusMetrics(text, snap)
-    } else {
-        Reply::StatusText(text)
-    }
-}
-
-/// Count and write one reply, stamped with the requester's protocol
-/// version (so v1 clients never see a frame they cannot decode) and — on
-/// v4 — the request id it answers.
-pub(crate) fn send_reply(
-    conn: &mut Conn,
-    version: u8,
-    request_id: u32,
-    reply: &Reply,
-    stats: &ServerStats,
-) {
-    stats.note_reply(reply);
-    // A vanished client is its own problem; the daemon moves on.
-    let _ = write_frame(conn, &reply.to_frame().with_request(request_id).with_version(version));
+/// Build the `STATUS` reply: the text block plus the metrics snapshot.
+fn status_reply(ctx: &SessionCtx) -> Reply {
+    let (uptime, queue_len, resident) =
+        (ctx.started.elapsed(), ctx.queue.len(), ctx.cache.resident());
+    let text = ctx.stats.render(uptime, queue_len, resident);
+    Reply::StatusMetrics(text, ctx.stats.metrics_snapshot(uptime, queue_len, resident))
 }
 
 // ---------------------------------------------------------------------
-// v4 multiplexed sessions.
+// Sessions.
 // ---------------------------------------------------------------------
 
 /// The half of a session shared between its reader thread and the workers
@@ -852,7 +589,6 @@ pub(crate) fn send_reply(
 /// time, so frames from concurrent workers never interleave mid-frame.
 pub(crate) struct SessionShared {
     writer: Mutex<Conn>,
-    version: u8,
     window: u32,
     in_flight: AtomicU32,
 }
@@ -861,7 +597,7 @@ impl SessionShared {
     /// Write one reply frame tagged with the request id it answers.
     pub(crate) fn send(&self, request_id: u32, reply: &Reply, stats: &ServerStats) {
         stats.note_reply(reply);
-        let frame = reply.to_frame().with_request(request_id).with_version(self.version);
+        let frame = reply.to_frame().with_request(request_id);
         let mut w = self.writer.lock().expect("session writer lock");
         // A vanished session client is noticed by the reader; move on.
         let _ = write_frame(&mut *w, &frame);
@@ -908,8 +644,7 @@ impl SessionShared {
         let mut buf = Vec::new();
         for (request_id, reply) in replies {
             stats.note_reply(reply);
-            let frame = reply.to_frame().with_request(*request_id).with_version(self.version);
-            encode_frame(&mut buf, &frame);
+            encode_frame(&mut buf, &reply.to_frame().with_request(*request_id));
         }
         let mut w = self.writer.lock().expect("session writer lock");
         // A vanished session client is noticed by the reader; move on.
@@ -917,14 +652,43 @@ impl SessionShared {
     }
 }
 
-/// Everything a session reader thread needs from the daemon.
+/// Everything a session thread needs from the daemon.
 struct SessionCtx {
     queue: Arc<BoundedQueue<Job>>,
     cache: Arc<ModelCache>,
     stats: Arc<ServerStats>,
-    shutdown: Arc<AtomicBool>,
+    drain: Arc<Drain>,
     io_timeout: Duration,
+    session_window: u32,
     started: Instant,
+}
+
+impl SessionCtx {
+    /// Close the queue, then start the drain — both before any `BYE` goes
+    /// out, so a client that sees `BYE` sees a daemon already draining,
+    /// and no request read after this point is queued (the closed queue
+    /// answers it `BUSY`).
+    fn begin_drain(&self) {
+        self.queue.close();
+        self.drain.start();
+    }
+
+    /// Queue `work` for a worker, answering `BUSY` through `responder` when
+    /// the queue is full or closed.
+    fn enqueue(&self, responder: Responder, work: Work) {
+        let depth = self.queue.len();
+        match self.queue.try_push(Job { responder, work, accepted: Instant::now() }) {
+            Ok(()) => {
+                self.stats.bump_accepted();
+                self.stats.note_enqueue_depth(depth);
+            }
+            Err(job) => {
+                self.stats.bump_rejected();
+                events().emit(Level::Debug, "serve.busy", "queue full: request rejected");
+                job.responder.respond(&Reply::Busy, &self.stats);
+            }
+        }
+    }
 }
 
 /// The at-most-one inbound stream a session may have open.
@@ -944,55 +708,58 @@ impl SessionStream {
     }
 }
 
-/// Drive one v4 session: ack the HELLO, then demultiplex frames until the
-/// client closes, the daemon drains, or the stream desyncs. Replies are
-/// written by whichever thread finishes a request — out of order is the
-/// point — while this thread keeps reading.
-fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
-    let SessionCtx { queue, cache, stats, shutdown, io_timeout, started } = ctx;
+/// Drive one connection: track it with the drain, wait for its `HELLO`,
+/// then demultiplex frames until the client closes, the drain cuts the
+/// read side, or the stream desyncs. Replies are written by whichever
+/// thread finishes a request — out of order is the point — while this
+/// thread keeps reading.
+fn run_session(mut conn: Conn, ctx: &SessionCtx) {
+    let stats = &ctx.stats;
+    let Ok(_tracked) = ctx.drain.track(&conn) else { return };
+    if ctx.drain.is_draining() {
+        return;
+    }
+    let _ = conn.set_write_timeout(Some(ctx.io_timeout));
+    let (hello_id, asked) = match read_hello(&mut conn, ctx.io_timeout) {
+        Ok(hello) => hello,
+        Err((request_id, why)) => {
+            stats.bump_proto_errors();
+            let reply = Reply::Error(why);
+            stats.note_reply(&reply);
+            // The connection closes either way; a vanished client is fine.
+            let _ = write_frame(&mut conn, &reply.to_frame().with_request(request_id));
+            return;
+        }
+    };
+    stats.note_request(&Request::Hello { window: asked });
+    let window = if asked == 0 { ctx.session_window } else { asked.min(ctx.session_window) }.max(1);
     let writer = match conn.try_clone() {
         Ok(w) => w,
         Err(e) => {
             let reply = Reply::Error(format!("session setup failed: {e}"));
-            send_reply(&mut conn, VERSION, hello_id, &reply, &stats);
+            let _ = write_frame(&mut conn, &reply.to_frame().with_request(hello_id));
             return;
         }
     };
     let shared = Arc::new(SessionShared {
         writer: Mutex::new(writer),
-        version: VERSION,
         window,
         in_flight: AtomicU32::new(0),
     });
-    shared.send(hello_id, &Reply::HelloAck { window }, &stats);
+    // Counted open before the ack, so a client that sees the ack sees it.
     stats.note_session_opened();
+    shared.send(hello_id, &Reply::HelloAck { window }, stats);
     let mut stream: Option<SessionStream> = None;
 
-    'session: while !shutdown.load(Ordering::SeqCst) {
-        // Wait for the next frame's first byte with a short timeout (an
-        // all-or-nothing 1-byte read), so idle sessions notice shutdown
-        // without ever stranding a partial header.
-        let _ = conn.set_read_timeout(SESSION_POLL);
-        let mut first = [0u8; 1];
-        match conn.read(&mut first) {
-            Ok(0) => break 'session, // client closed
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue 'session;
-            }
-            Err(_) => break 'session,
-        }
-        // A frame has started: the rest must arrive within io_timeout.
-        let _ = conn.set_read_timeout(io_timeout);
-        let frame = match read_frame((&first[..]).chain(&mut conn)) {
-            Ok(f) => f,
+    'session: loop {
+        let frame = match next_frame(&mut conn, ctx.io_timeout) {
+            Ok(Some(f)) => f,
+            Ok(None) => break 'session, // client closed, or the drain cut us
             Err(e) => {
                 // The stream position is unknown now; the session cannot
                 // continue. Best-effort error, then close.
                 stats.bump_proto_errors();
-                shared.send(0, &Reply::Error(format!("bad frame: {e}")), &stats);
+                shared.send(0, &Reply::Error(format!("bad frame: {e}")), stats);
                 break 'session;
             }
         };
@@ -1002,43 +769,39 @@ fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
             Err(e) => {
                 // Framing is intact — only this request is malformed.
                 stats.bump_proto_errors();
-                shared.send(request_id, &Reply::Error(format!("bad request: {e}")), &stats);
+                shared.send(request_id, &Reply::Error(format!("bad request: {e}")), stats);
                 continue 'session;
             }
         };
         stats.note_request(&request);
         match request {
             Request::Hello { .. } => {
-                shared.send(request_id, &Reply::Error("session already open".into()), &stats);
+                shared.send(request_id, &Reply::Error("session already open".into()), stats);
             }
-            Request::Status => {
-                let reply = status_reply(frame.version, &queue, &cache, &stats, started);
-                shared.send(request_id, &reply, &stats);
-            }
+            Request::Status => shared.send(request_id, &status_reply(ctx), stats),
             Request::Shutdown => {
-                shared.send(request_id, &Reply::Bye, &stats);
                 events().emit(Level::Info, "serve.shutdown", "shutdown requested; draining");
-                shutdown.store(true, Ordering::SeqCst);
-                queue.close();
+                ctx.begin_drain();
+                shared.send(request_id, &Reply::Bye, stats);
                 break 'session;
             }
             Request::TracePutStart { key, workload } => {
                 if stream.is_some() {
                     // One inbound stream per session; the client retries.
-                    shared.send(request_id, &Reply::Busy, &stats);
+                    shared.send(request_id, &Reply::Busy, stats);
                     continue 'session;
                 }
-                if !shared.begin_request(&stats) {
-                    shared.send(request_id, &Reply::Busy, &stats);
+                if !shared.begin_request(stats) {
+                    shared.send(request_id, &Reply::Busy, stats);
                     continue 'session;
                 }
-                let Some(corpus) = cache.corpus() else {
+                let Some(corpus) = ctx.cache.corpus() else {
                     shared.send_final(
                         request_id,
                         &Reply::Error(
                             "no corpus store configured; start the daemon with --corpus".into(),
                         ),
-                        &stats,
+                        stats,
                     );
                     continue 'session;
                 };
@@ -1046,7 +809,7 @@ fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
                 if c.streaming_key().is_some() {
                     // Another session owns the corpus stream right now.
                     drop(c);
-                    shared.send_final(request_id, &Reply::Busy, &stats);
+                    shared.send_final(request_id, &Reply::Busy, stats);
                     continue 'session;
                 }
                 match c.stream_begin(&key, &workload) {
@@ -1060,18 +823,18 @@ fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
                         shared.send_final(
                             request_id,
                             &Reply::Error(format!("trace put failed: {e}")),
-                            &stats,
+                            stats,
                         );
                     }
                 }
             }
             Request::DiagnoseStart(spec) => {
                 if stream.is_some() {
-                    shared.send(request_id, &Reply::Busy, &stats);
+                    shared.send(request_id, &Reply::Busy, stats);
                     continue 'session;
                 }
-                if !shared.begin_request(&stats) {
-                    shared.send(request_id, &Reply::Busy, &stats);
+                if !shared.begin_request(stats) {
+                    shared.send(request_id, &Reply::Busy, stats);
                     continue 'session;
                 }
                 stats.note_stream_opened();
@@ -1087,14 +850,14 @@ fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
                     shared.send(
                         request_id,
                         &Reply::Error("stream frame outside an open stream".into()),
-                        &stats,
+                        stats,
                     );
                     continue 'session;
                 };
                 let owner = open.request_id();
                 let failed = match open {
                     SessionStream::TracePut { .. } => {
-                        let corpus = cache.corpus().expect("stream opened with a corpus");
+                        let corpus = ctx.cache.corpus().expect("stream opened with a corpus");
                         let mut c = corpus.lock().expect("corpus lock");
                         c.stream_chunk(&bytes).err().map(|e| format!("trace put failed: {e}"))
                     }
@@ -1104,7 +867,7 @@ fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
                     // The corpus/parser side already aborted; drop ours.
                     stream = None;
                     stats.note_stream_aborted();
-                    shared.send_final(owner, &Reply::Error(why), &stats);
+                    shared.send_final(owner, &Reply::Error(why), stats);
                 }
             }
             Request::StreamEnd { crc32, total_len } => {
@@ -1113,13 +876,13 @@ fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
                     shared.send(
                         request_id,
                         &Reply::Error("stream frame outside an open stream".into()),
-                        &stats,
+                        stats,
                     );
                     continue 'session;
                 };
                 match open {
                     SessionStream::TracePut { request_id } => {
-                        let corpus = cache.corpus().expect("stream opened with a corpus");
+                        let corpus = ctx.cache.corpus().expect("stream opened with a corpus");
                         let reply = {
                             let mut c = corpus.lock().expect("corpus lock");
                             match c.stream_finish(crc32, total_len) {
@@ -1130,34 +893,17 @@ fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
                                 }
                             }
                         };
-                        shared.send_final(request_id, &reply, &stats);
+                        shared.send_final(request_id, &reply, stats);
                     }
                     SessionStream::Diagnose { request_id, spec, parse } => {
                         match parse.finish(crc32, total_len) {
-                            Ok(trace) => {
-                                let depth = queue.len();
-                                let job = Job {
-                                    responder: Responder::Session {
-                                        shared: shared.clone(),
-                                        request_id,
-                                    },
-                                    work: Work::DiagnoseTrace(spec, Box::new(trace)),
-                                    accepted: Instant::now(),
-                                };
-                                match queue.try_push(job) {
-                                    Ok(()) => {
-                                        stats.bump_accepted();
-                                        stats.note_enqueue_depth(depth);
-                                    }
-                                    Err(job) => {
-                                        stats.bump_rejected();
-                                        job.responder.respond(&Reply::Busy, &stats);
-                                    }
-                                }
-                            }
+                            Ok(trace) => ctx.enqueue(
+                                Responder { shared: shared.clone(), request_id },
+                                Work::DiagnoseTrace(spec, Box::new(trace)),
+                            ),
                             Err(why) => {
                                 stats.note_stream_aborted();
-                                shared.send_final(request_id, &Reply::Error(why), &stats);
+                                shared.send_final(request_id, &Reply::Error(why), stats);
                             }
                         }
                     }
@@ -1167,29 +913,13 @@ fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
             | Request::Diagnose(..)
             | Request::TracePut { .. }
             | Request::TraceGet { .. }) => {
-                if !shared.begin_request(&stats) {
+                if !shared.begin_request(stats) {
                     // Window exhausted: BUSY for this request only.
                     stats.bump_rejected();
-                    shared.send(request_id, &Reply::Busy, &stats);
+                    shared.send(request_id, &Reply::Busy, stats);
                     continue 'session;
                 }
-                let depth = queue.len();
-                let job = Job {
-                    responder: Responder::Session { shared: shared.clone(), request_id },
-                    work: Work::Request(req),
-                    accepted: Instant::now(),
-                };
-                match queue.try_push(job) {
-                    Ok(()) => {
-                        stats.bump_accepted();
-                        stats.note_enqueue_depth(depth);
-                    }
-                    Err(job) => {
-                        stats.bump_rejected();
-                        events().emit(Level::Debug, "serve.busy", "queue full: request rejected");
-                        job.responder.respond(&Reply::Busy, &stats);
-                    }
-                }
+                ctx.enqueue(Responder { shared: shared.clone(), request_id }, Work::Request(req));
             }
         }
     }
@@ -1199,11 +929,11 @@ fn run_session(mut conn: Conn, hello_id: u32, window: u32, ctx: SessionCtx) {
     if let Some(open) = stream {
         stats.note_stream_aborted();
         if matches!(open, SessionStream::TracePut { .. }) {
-            if let Some(corpus) = cache.corpus() {
+            if let Some(corpus) = ctx.cache.corpus() {
                 corpus.lock().expect("corpus lock").stream_abort();
             }
         }
-        shared.finish_request(&stats);
+        shared.finish_request(stats);
         events().emit(Level::Warn, "serve.stream", "session closed mid-stream; upload aborted");
     }
     stats.note_session_closed();
@@ -1384,7 +1114,7 @@ mod tests {
         assert_eq!(snap.gauge("models_resident"), Some(1));
         let service = snap.histogram("service_us").expect("latency histogram");
         assert_eq!(service.count(), 1);
-        // Identical after a wire round-trip — what a v2 STATUS carries.
+        // Identical after a wire round-trip — what a STATUS reply carries.
         let bytes = snap.to_bytes();
         assert_eq!(act_obs::MetricsSnapshot::from_bytes(&bytes).unwrap(), snap);
     }

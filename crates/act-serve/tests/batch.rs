@@ -1,4 +1,4 @@
-//! Coalescing-scheduler tests: drive raw protocol-v4 sessions against a
+//! Coalescing-scheduler tests: drive raw sessions against a
 //! daemon with batching on and assert the three properties the scheduler
 //! must hold —
 //! - coalesced replies are byte-identical to what a non-batching daemon
@@ -8,13 +8,14 @@
 //! - requests for different models never share a batch, and every
 //!   request id is answered exactly once.
 
-use act_serve::proto::{read_frame, write_frame, ModelSpec, Reply, Request};
+mod common;
+
+use act_serve::proto::{ModelSpec, Reply, Request};
 use act_serve::server::{ServeConfig, Server};
 use act_trace::collector::TraceCollector;
 use act_trace::io::trace_to_bytes;
 use act_workloads::registry;
-use std::collections::HashMap;
-use std::net::TcpStream;
+use common::{call, status_text, RawSession};
 use std::time::{Duration, Instant};
 
 /// Boot a daemon on 127.0.0.1:0 with the given coalescing policy.
@@ -61,63 +62,13 @@ fn failing_trace_bytes() -> Vec<u8> {
     panic!("no failing seq run in 64 seeds");
 }
 
-/// One raw one-shot v4 exchange (fresh connection, one frame each way).
-fn oneshot(addr: &str, request: &Request) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write_frame(&mut stream, &request.to_frame()).expect("send");
-    let frame = read_frame(&mut stream).expect("reply frame");
-    Reply::from_frame(&frame).expect("decode reply")
-}
-
-/// A raw multiplexed v4 session (HELLO already acknowledged).
-struct RawSession {
-    stream: TcpStream,
-}
-
-impl RawSession {
-    fn open(addr: &str, window: u32) -> RawSession {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        write_frame(&mut stream, &Request::Hello { window }.to_frame()).expect("send HELLO");
-        let frame = read_frame(&mut stream).expect("HELLO_ACK frame");
-        match Reply::from_frame(&frame).expect("decode") {
-            Reply::HelloAck { window: granted } => assert!(granted >= window, "window granted"),
-            other => panic!("expected HELLO_ACK, got {other:?}"),
-        }
-        RawSession { stream }
-    }
-
-    fn send(&mut self, request_id: u32, request: &Request) {
-        write_frame(&mut self.stream, &request.to_frame().with_request(request_id))
-            .expect("send request");
-    }
-
-    /// Read `n` replies, keyed by the request id each answers.
-    fn collect(&mut self, n: usize) -> HashMap<u32, Reply> {
-        let mut replies = HashMap::new();
-        for _ in 0..n {
-            let frame = read_frame(&mut self.stream).expect("reply frame");
-            let id = frame.request_id;
-            let reply = Reply::from_frame(&frame).expect("decode reply");
-            assert!(replies.insert(id, reply).is_none(), "request {id} answered twice");
-        }
-        replies
-    }
-}
-
 /// Pull one `key value` counter out of the `STATUS` text block.
 fn counter(addr: &str, key: &str) -> u64 {
-    let text = match oneshot(addr, &Request::Status) {
-        Reply::StatusMetrics(text, _) => text,
-        Reply::StatusText(text) => text,
-        other => panic!("unexpected status reply: {other:?}"),
-    };
-    text.lines()
-        .find_map(|l| l.strip_prefix(key).map(|rest| rest.trim().parse().expect("counter value")))
-        .unwrap_or_else(|| panic!("no `{key}` in status:\n{text}"))
+    common::counter(&status_text(addr), key)
 }
 
 fn shutdown(server: Server, addr: &str) {
-    assert!(matches!(oneshot(addr, &Request::Shutdown), Reply::Bye));
+    assert!(matches!(call(addr, &Request::Shutdown), Reply::Bye));
     server.join();
 }
 
@@ -134,13 +85,12 @@ fn coalesced_replies_are_byte_identical_to_sequential_ones() {
     // Warm both daemons so every diagnose is a cache hit (training is
     // deterministic, so the two models are identical).
     for addr in [&batched_addr, &sequential_addr] {
-        match oneshot(addr, &Request::Train(spec.clone())) {
+        match call(addr, &Request::Train(spec.clone())) {
             Reply::Trained(_) => {}
             other => panic!("unexpected train reply: {other:?}"),
         }
     }
-    let expected = match oneshot(&sequential_addr, &Request::Diagnose(spec.clone(), trace.clone()))
-    {
+    let expected = match call(&sequential_addr, &Request::Diagnose(spec.clone(), trace.clone())) {
         Reply::Diagnosis(text) => text,
         other => panic!("unexpected sequential reply: {other:?}"),
     };
@@ -174,13 +124,13 @@ fn a_lone_request_is_dispatched_when_the_gather_window_closes() {
     let (server, addr) = boot(16, Duration::from_millis(250));
     let spec = tiny_spec(0);
     let trace = failing_trace_bytes();
-    match oneshot(&addr, &Request::Train(spec.clone())) {
+    match call(&addr, &Request::Train(spec.clone())) {
         Reply::Trained(_) => {}
         other => panic!("unexpected train reply: {other:?}"),
     }
 
     let start = Instant::now();
-    match oneshot(&addr, &Request::Diagnose(spec.clone(), trace)) {
+    match call(&addr, &Request::Diagnose(spec.clone(), trace)) {
         Reply::Diagnosis(text) => assert!(text.contains("model=cache-hit"), "text: {text}"),
         other => panic!("unexpected reply: {other:?}"),
     }
@@ -196,7 +146,7 @@ fn different_models_never_share_a_batch_and_every_id_is_answered() {
     let (spec_a, spec_b) = (tiny_spec(0), tiny_spec(1));
     let trace = failing_trace_bytes();
     for spec in [&spec_a, &spec_b] {
-        match oneshot(&addr, &Request::Train(spec.clone())) {
+        match call(&addr, &Request::Train(spec.clone())) {
             Reply::Trained(_) => {}
             other => panic!("unexpected train reply: {other:?}"),
         }

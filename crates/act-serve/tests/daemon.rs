@@ -6,20 +6,24 @@
 //!   keeps serving others;
 //! - a repeated request is answered from the model cache (the `STATUS`
 //!   cache-hit counter increases);
-//! - a full queue yields `BUSY` immediately, never accepted-then-dropped.
+//! - a full queue yields `BUSY` immediately, never accepted-then-dropped;
+//! - a connection must open with `HELLO`, and the drain ends idle and
+//!   silent connections instead of waiting for them.
 
-#![allow(deprecated)] // this suite IS the one-shot compatibility reference
+mod common;
 
-use act_serve::client::{request, Endpoint};
-use act_serve::proto::{ModelSpec, Reply, Request};
+use act_serve::proto::{read_frame, write_frame, ModelSpec, Reply, Request};
 use act_serve::server::{ServeConfig, Server};
 use act_trace::collector::TraceCollector;
 use act_trace::io::trace_to_bytes;
 use act_workloads::registry;
-use std::time::Duration;
+use common::{call, counter, status_text, RawSession};
+use std::io::Read as _;
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
-/// Boot a daemon on 127.0.0.1:0 and return it with its client endpoint.
-fn boot(workers: usize, queue_depth: usize) -> (Server, Endpoint) {
+/// Boot a daemon on 127.0.0.1:0 and return it with its TCP address.
+fn boot(workers: usize, queue_depth: usize) -> (Server, String) {
     let cfg = ServeConfig {
         tcp_addr: Some("127.0.0.1:0".to_string()),
         workers,
@@ -27,8 +31,8 @@ fn boot(workers: usize, queue_depth: usize) -> (Server, Endpoint) {
         ..ServeConfig::default()
     };
     let server = Server::start(cfg).expect("daemon boots");
-    let endpoint = Endpoint::Tcp(server.tcp_addr().expect("tcp bound").to_string());
-    (server, endpoint)
+    let addr = server.tcp_addr().expect("tcp bound").to_string();
+    (server, addr)
 }
 
 /// A small spec that trains in well under a second.
@@ -60,32 +64,14 @@ fn failing_trace_bytes() -> Vec<u8> {
     panic!("no failing seq run in 64 seeds");
 }
 
-/// Pull one `key value` counter out of a `STATUS` reply.
-fn counter(status: &str, key: &str) -> u64 {
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix(key).map(|rest| rest.trim().parse().expect("counter value")))
-        .unwrap_or_else(|| panic!("no `{key}` in status:\n{status}"))
-}
-
-fn status_of(endpoint: &Endpoint) -> String {
-    match request(endpoint, &Request::Status).expect("status reply") {
-        // A v2 client gets the text block plus the metrics snapshot; the
-        // text is the part these tests grep.
-        Reply::StatusMetrics(text, _) => text,
-        Reply::StatusText(text) => text,
-        other => panic!("unexpected status reply: {other:?}"),
-    }
-}
-
 #[test]
 fn concurrent_clients_crash_isolation_and_cache_hits() {
-    let (server, endpoint) = boot(2, 16);
+    let (server, addr) = boot(2, 16);
     let spec = tiny_spec("seq");
     let trace = failing_trace_bytes();
 
     // Warm the model once so the concurrent phase exercises cache hits.
-    match request(&endpoint, &Request::Train(spec.clone())).expect("train reply") {
+    match call(&addr, &Request::Train(spec.clone())) {
         Reply::Trained(summary) => {
             assert!(summary.contains("trained seq"), "summary: {summary}")
         }
@@ -95,14 +81,14 @@ fn concurrent_clients_crash_isolation_and_cache_hits() {
     // Four concurrent clients: three real diagnoses plus one crasher.
     let mut clients = Vec::new();
     for _ in 0..3 {
-        let endpoint = endpoint.clone();
+        let addr = addr.clone();
         let req = Request::Diagnose(spec.clone(), trace.clone());
-        clients.push(std::thread::spawn(move || request(&endpoint, &req).expect("reply")));
+        clients.push(std::thread::spawn(move || call(&addr, &req)));
     }
     let crasher = {
-        let endpoint = endpoint.clone();
+        let addr = addr.clone();
         let req = Request::Diagnose(ModelSpec::new("__panic"), trace.clone());
-        std::thread::spawn(move || request(&endpoint, &req).expect("reply"))
+        std::thread::spawn(move || call(&addr, &req))
     };
 
     for client in clients {
@@ -123,18 +109,18 @@ fn concurrent_clients_crash_isolation_and_cache_hits() {
     }
 
     // The daemon survived the crash and still serves.
-    match request(&endpoint, &Request::Diagnose(spec.clone(), trace)).expect("post-crash reply") {
+    match call(&addr, &Request::Diagnose(spec.clone(), trace)) {
         Reply::Diagnosis(text) => assert!(text.contains("model=cache-hit"), "text: {text}"),
         other => panic!("unexpected post-crash reply: {other:?}"),
     }
 
-    let status = status_of(&endpoint);
+    let status = status_text(&addr);
     assert!(counter(&status, "cache_hits") >= 4, "status:\n{status}");
     assert_eq!(counter(&status, "cache_misses"), 1, "status:\n{status}");
     assert_eq!(counter(&status, "requests_crashed"), 1, "status:\n{status}");
     assert!(counter(&status, "requests_served") >= 5, "status:\n{status}");
 
-    match request(&endpoint, &Request::Shutdown).expect("shutdown reply") {
+    match call(&addr, &Request::Shutdown) {
         Reply::Bye => {}
         other => panic!("unexpected shutdown reply: {other:?}"),
     }
@@ -145,7 +131,7 @@ fn concurrent_clients_crash_isolation_and_cache_hits() {
 fn full_queue_answers_busy_instead_of_accepting() {
     // One worker, queue depth one: a 600ms sleeper on the worker plus one
     // queued job saturate the daemon.
-    let (server, endpoint) = boot(1, 1);
+    let (server, addr) = boot(1, 1);
     let sleeper = |ms: u64| {
         let mut spec = ModelSpec::new("__sleep");
         spec.seed = ms;
@@ -153,24 +139,24 @@ fn full_queue_answers_busy_instead_of_accepting() {
     };
 
     let occupant = {
-        let endpoint = endpoint.clone();
+        let addr = addr.clone();
         let req = sleeper(600);
-        std::thread::spawn(move || request(&endpoint, &req).expect("reply"))
+        std::thread::spawn(move || call(&addr, &req))
     };
     std::thread::sleep(Duration::from_millis(150)); // worker now busy
     let queued = {
-        let endpoint = endpoint.clone();
+        let addr = addr.clone();
         let req = sleeper(10);
-        std::thread::spawn(move || request(&endpoint, &req).expect("reply"))
+        std::thread::spawn(move || call(&addr, &req))
     };
     std::thread::sleep(Duration::from_millis(150)); // queue now full
 
     // STATUS still answers while saturated (acceptor fast path) ...
-    let status = status_of(&endpoint);
+    let status = status_text(&addr);
     assert_eq!(counter(&status, "queue_depth"), 1, "status:\n{status}");
 
     // ... but new work is refused outright.
-    match request(&endpoint, &sleeper(1)).expect("busy reply") {
+    match call(&addr, &sleeper(1)) {
         Reply::Busy => {}
         other => panic!("expected BUSY from a full queue, got: {other:?}"),
     }
@@ -178,61 +164,68 @@ fn full_queue_answers_busy_instead_of_accepting() {
     assert!(matches!(occupant.join().expect("occupant"), Reply::Trained(_)));
     assert!(matches!(queued.join().expect("queued"), Reply::Trained(_)));
 
-    let status = status_of(&endpoint);
+    let status = status_text(&addr);
     assert_eq!(counter(&status, "requests_rejected_busy"), 1, "status:\n{status}");
     assert_eq!(counter(&status, "requests_served"), 2, "status:\n{status}");
 
-    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    assert!(matches!(call(&addr, &Request::Shutdown), Reply::Bye));
     server.join();
 }
 
 #[test]
-fn status_speaks_both_protocol_versions() {
-    use act_serve::proto::{read_frame, write_frame, FrameKind};
-    use std::io::Write as _;
-    let (server, endpoint) = boot(1, 4);
-    let addr = match &endpoint {
-        Endpoint::Tcp(addr) => addr.clone(),
-        other => panic!("tcp endpoint expected, got {other}"),
-    };
-
-    // An old (v1) client: frame stamped version 1 must get a v1-stamped
-    // plain STATUS_TEXT reply — nothing a v1 decoder would reject.
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    write_frame(&mut stream, &Request::Status.to_frame().with_version(1)).expect("send v1");
-    stream.flush().expect("flush");
-    let frame = read_frame(&mut stream).expect("v1 reply frame");
-    assert_eq!(frame.version, 1, "reply restamped for the v1 requester");
-    assert_eq!(frame.kind, FrameKind::StatusText);
-    match Reply::from_frame(&frame).expect("decode") {
-        Reply::StatusText(text) => assert!(text.contains("requests_served"), "text: {text}"),
-        other => panic!("v1 STATUS must get StatusText, got {other:?}"),
-    }
-
-    // A v2 client against this v3 daemon: the reply is restamped v2 and is
-    // the StatusMetrics frame a v2 decoder already knows — the v3 frame
-    // kinds never appear unsolicited.
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    write_frame(&mut stream, &Request::Status.to_frame().with_version(2)).expect("send v2");
-    stream.flush().expect("flush");
-    let frame = read_frame(&mut stream).expect("v2 reply frame");
-    assert_eq!(frame.version, 2, "reply restamped for the v2 requester");
-    assert_eq!(frame.kind, FrameKind::StatusMetrics);
-
-    // A new (v3) client gets the metrics snapshot alongside the text, and
-    // the two surfaces agree on the counters.
-    match request(&endpoint, &Request::Status).expect("status reply") {
+fn status_carries_a_metrics_snapshot_that_agrees_with_the_text() {
+    let (server, addr) = boot(1, 4);
+    match call(&addr, &Request::Status) {
         Reply::StatusMetrics(text, snap) => {
             assert!(snap.counter("req_status").expect("req_status counter") >= 1);
             assert!(snap.histogram("service_us").is_some(), "latency histogram present");
             let served = counter(&text, "requests_served");
             assert_eq!(snap.counter("requests_served"), Some(served));
         }
-        other => panic!("v2 STATUS must get StatusMetrics, got {other:?}"),
+        other => panic!("STATUS must get StatusMetrics, got {other:?}"),
     }
-
-    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    assert!(matches!(call(&addr, &Request::Shutdown), Reply::Bye));
     server.join();
+}
+
+#[test]
+fn a_first_frame_other_than_hello_gets_error_and_the_connection_closes() {
+    let (server, addr) = boot(1, 4);
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    write_frame(&mut stream, &Request::Status.to_frame().with_request(9)).expect("send");
+    let frame = read_frame(&mut stream).expect("error frame");
+    assert_eq!(frame.request_id, 9, "the error answers the offending request");
+    match Reply::from_frame(&frame).expect("decode") {
+        Reply::Error(msg) => assert!(msg.contains("HELLO"), "msg: {msg}"),
+        other => panic!("expected ERROR, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    assert_eq!(stream.read_to_end(&mut rest).expect("read to close"), 0, "connection closed");
+    assert!(counter(&status_text(&addr), "protocol_errors") >= 1);
+    assert!(matches!(call(&addr, &Request::Shutdown), Reply::Bye));
+    server.join();
+}
+
+#[test]
+fn shutdown_drains_before_bye_and_join_ignores_idle_connections() {
+    let (server, addr) = boot(1, 4);
+    let mut idle = RawSession::open(&addr, 4);
+    // Accepted before the SHUTDOWN connection (accept is FIFO).
+    let mut silent = TcpStream::connect(&addr).expect("connect");
+
+    let t0 = Instant::now();
+    assert!(matches!(call(&addr, &Request::Shutdown), Reply::Bye));
+    assert!(server.is_shutting_down(), "BYE goes out after the drain has started");
+    server.join();
+    assert!(t0.elapsed() < Duration::from_secs(1), "drain took {:?}", t0.elapsed());
+
+    // The drain ended both connections: the idle session reads
+    // end-of-stream, the silent one an ERROR and then end-of-stream.
+    let mut rest = Vec::new();
+    idle.stream.read_to_end(&mut rest).expect("idle session closed");
+    assert!(rest.is_empty(), "no frame after the drain: {rest:?}");
+    silent.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    silent.read_to_end(&mut rest).expect("silent connection closed");
 }
 
 /// Serialize one *correct* `seq` run (the kind a production client ships
@@ -268,10 +261,10 @@ fn corpus_round_trips_traces_trains_from_store_and_persists_models() {
             ..ServeConfig::default()
         };
         let server = Server::start(cfg).expect("daemon boots with corpus");
-        let endpoint = Endpoint::Tcp(server.tcp_addr().expect("tcp bound").to_string());
-        (server, endpoint)
+        let addr = server.tcp_addr().expect("tcp bound").to_string();
+        (server, addr)
     };
-    let (server, endpoint) = boot_with_corpus();
+    let (server, addr) = boot_with_corpus();
 
     // Ship two correct-run traces into the store.
     let t0 = correct_trace_bytes(0);
@@ -282,18 +275,18 @@ fn corpus_round_trips_traces_trains_from_store_and_persists_models() {
             workload: "seq".to_string(),
             trace: bytes.clone(),
         };
-        match request(&endpoint, &req).expect("put reply") {
+        match call(&addr, &req) {
             Reply::Stored(summary) => assert!(summary.contains(key), "summary: {summary}"),
             other => panic!("unexpected put reply: {other:?}"),
         }
     }
 
     // Round trip: TRACE_GET hands back byte-identical text.
-    match request(&endpoint, &Request::TraceGet { key: "seq-clean-0".into() }).expect("get") {
+    match call(&addr, &Request::TraceGet { key: "seq-clean-0".into() }) {
         Reply::TraceData(bytes) => assert_eq!(bytes, t0, "trace round trip must be lossless"),
         other => panic!("unexpected get reply: {other:?}"),
     }
-    match request(&endpoint, &Request::TraceGet { key: "no-such-key".into() }).expect("miss") {
+    match call(&addr, &Request::TraceGet { key: "no-such-key".into() }) {
         Reply::Error(msg) => assert!(msg.contains("trace get failed"), "msg: {msg}"),
         other => panic!("missing key must yield ERROR, got: {other:?}"),
     }
@@ -304,65 +297,65 @@ fn corpus_round_trips_traces_trains_from_store_and_persists_models() {
         workload: "seq".into(),
         trace: b"not a trace".to_vec(),
     };
-    match request(&endpoint, &bad).expect("bad put reply") {
+    match call(&addr, &bad) {
         Reply::Error(msg) => assert!(msg.contains("trace put failed"), "msg: {msg}"),
         other => panic!("hostile payload must yield ERROR, got: {other:?}"),
     }
 
     // TRAIN now prefers the two ingested traces over simulator runs.
     let spec = tiny_spec("seq");
-    match request(&endpoint, &Request::Train(spec.clone())).expect("train reply") {
+    match call(&addr, &Request::Train(spec.clone())) {
         Reply::Trained(summary) => {
             assert!(summary.contains("from corpus"), "summary: {summary}")
         }
         other => panic!("unexpected train reply: {other:?}"),
     }
 
-    let status = status_of(&endpoint);
+    let status = status_text(&addr);
     assert_eq!(counter(&status, "requests_served"), 4, "status:\n{status}");
     assert_eq!(counter(&status, "requests_errored"), 2, "status:\n{status}");
-    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    assert!(matches!(call(&addr, &Request::Shutdown), Reply::Bye));
     server.join();
 
     // Restart on the same corpus: the model comes back from the store
     // (no retraining) and the traces survived.
-    let (server, endpoint) = boot_with_corpus();
-    match request(&endpoint, &Request::Train(spec)).expect("train reply") {
+    let (server, addr) = boot_with_corpus();
+    match call(&addr, &Request::Train(spec)) {
         Reply::Trained(summary) => {
             assert!(summary.contains("loaded from corpus store"), "summary: {summary}");
             assert!(summary.contains("cache-hit:store"), "summary: {summary}");
         }
         other => panic!("unexpected train reply: {other:?}"),
     }
-    match request(&endpoint, &Request::TraceGet { key: "seq-clean-1".into() }).expect("get") {
+    match call(&addr, &Request::TraceGet { key: "seq-clean-1".into() }) {
         Reply::TraceData(bytes) => assert_eq!(bytes, t1, "trace survives a restart"),
         other => panic!("unexpected get reply: {other:?}"),
     }
-    let status = status_of(&endpoint);
+    let status = status_text(&addr);
     assert!(counter(&status, "cache_hits") >= 1, "store hit counts as a hit:\n{status}");
     assert_eq!(counter(&status, "cache_misses"), 0, "status:\n{status}");
-    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    assert!(matches!(call(&addr, &Request::Shutdown), Reply::Bye));
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn trace_frames_without_a_corpus_answer_error() {
-    let (server, endpoint) = boot(1, 4);
+    let (server, addr) = boot(1, 4);
     let req = Request::TracePut {
         key: "k".into(),
         workload: "seq".into(),
         trace: correct_trace_bytes(0),
     };
-    match request(&endpoint, &req).expect("reply") {
+    match call(&addr, &req) {
         Reply::Error(msg) => assert!(msg.contains("--corpus"), "msg: {msg}"),
         other => panic!("expected ERROR without a corpus, got: {other:?}"),
     }
-    match request(&endpoint, &Request::TraceGet { key: "k".into() }).expect("reply") {
+    match call(&addr, &Request::TraceGet { key: "k".into() }) {
         Reply::Error(msg) => assert!(msg.contains("--corpus"), "msg: {msg}"),
         other => panic!("expected ERROR without a corpus, got: {other:?}"),
     }
-    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    assert!(matches!(call(&addr, &Request::Shutdown), Reply::Bye));
     server.join();
 }
 
@@ -370,15 +363,15 @@ fn trace_frames_without_a_corpus_answer_error() {
 fn diagnose_on_a_cold_daemon_trains_then_ranks() {
     // A single DIAGNOSE against a cold daemon must train the model inline
     // and still come back with the ranked header.
-    let (server, endpoint) = boot(1, 4);
+    let (server, addr) = boot(1, 4);
     let req = Request::Diagnose(tiny_spec("seq"), failing_trace_bytes());
-    match request(&endpoint, &req).expect("reply") {
+    match call(&addr, &req) {
         Reply::Diagnosis(text) => {
             assert!(text.starts_with("diagnosis workload=seq model=trained"), "text: {text}");
             assert!(text.contains("logged="), "text: {text}");
         }
         other => panic!("unexpected reply: {other:?}"),
     }
-    assert!(matches!(request(&endpoint, &Request::Shutdown).expect("bye"), Reply::Bye));
+    assert!(matches!(call(&addr, &Request::Shutdown), Reply::Bye));
     server.join();
 }
